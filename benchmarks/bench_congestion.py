@@ -15,6 +15,7 @@ import pytest
 from _util import emit, once
 from repro.core import GreedyScheduler
 from repro.network import topologies
+from repro.sim.config import SimConfig
 from repro.sim.engine import Simulator
 from repro.workloads import OnlineWorkload, hotspot_workload
 
@@ -25,8 +26,7 @@ def run_congested(graph, capacity, slack, seed=0):
         graph,
         GreedyScheduler(weight_slack=slack),
         wl,
-        node_egress_capacity=capacity,
-        strict=False,
+        config=SimConfig(node_egress_capacity=capacity, strict=False),
     )
     return sim.run()
 

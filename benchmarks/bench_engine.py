@@ -28,7 +28,7 @@ from _util import emit, once
 from repro.core import GreedyScheduler
 from repro.network import topologies
 from repro.obs import CountersProbe
-from repro.sim import Simulator
+from repro.sim import SimConfig, Simulator
 from repro.workloads import OnlineWorkload
 
 #: (clique size, horizon): ~2000-2600 txns each, nearly every step active.
@@ -62,7 +62,7 @@ def _build(n, horizon):
 
 def _run(n, horizon, probe=None):
     g, wl = _build(n, horizon)
-    return Simulator(g, GreedyScheduler(uniform_beta=1), wl, probe=probe).run()
+    return Simulator(g, GreedyScheduler(uniform_beta=1), wl, config=SimConfig(probe=probe)).run()
 
 
 def _measure(n, horizon, repeats=3):
@@ -150,7 +150,7 @@ def _scale_point(builder, horizon, rate, strip_oracle=False, probe=None):
     wl = OnlineWorkload.bernoulli(
         g, num_objects=64, k=2, rate=rate, horizon=horizon, seed=0
     )
-    sim = Simulator(g, GreedyScheduler(uniform_beta=1), wl, probe=probe)
+    sim = Simulator(g, GreedyScheduler(uniform_beta=1), wl, config=SimConfig(probe=probe))
     t0 = time.perf_counter()
     trace = sim.run()
     return g, trace, time.perf_counter() - t0

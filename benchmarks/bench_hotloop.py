@@ -32,7 +32,7 @@ from repro.analysis import render_table
 from repro.core import GreedyScheduler
 from repro.network import topologies
 from repro.obs import CountersProbe
-from repro.sim import Simulator
+from repro.sim import SimConfig, Simulator
 from repro.workloads import OnlineWorkload
 
 #: same shape as bench_engine's mid sweep point: dense, mostly-active run
@@ -48,7 +48,7 @@ def _run(probe=None):
     wl = OnlineWorkload.bernoulli(
         g, num_objects=max(4, N // 2), k=2, rate=0.2, horizon=HORIZON, seed=0
     )
-    return Simulator(g, GreedyScheduler(uniform_beta=1), wl, probe=probe).run()
+    return Simulator(g, GreedyScheduler(uniform_beta=1), wl, config=SimConfig(probe=probe)).run()
 
 
 def _committed_blocks_per_step():

@@ -11,8 +11,11 @@ import pytest
 from _util import emit, once
 from repro.core import GreedyScheduler
 from repro.network import topologies
+from repro.sim.config import SimConfig
 from repro.sim.engine import Simulator
 from repro.workloads import OnlineWorkload
+
+HOP = SimConfig(transport="hop")
 
 
 CONFIGS = [
@@ -31,9 +34,7 @@ def run_capped(graph, capacity, seed=0):
         graph,
         GreedyScheduler(),
         wl,
-        hop_motion=True,
-        link_capacity=capacity,
-        strict=False,
+        config=HOP.replace(link_capacity=capacity, strict=False),
     )
     return sim.run()
 
@@ -49,7 +50,7 @@ def test_e20_link_capacity_sweep(benchmark):
                 wl = OnlineWorkload.bernoulli(
                     g, num_objects=8, k=2, rate=1.5 / g.num_nodes, horizon=50, seed=0
                 )
-                trace = Simulator(g, GreedyScheduler(), wl, hop_motion=True).run()
+                trace = Simulator(g, GreedyScheduler(), wl, config=HOP).run()
             else:
                 trace = run_capped(g, cap)
             if base is None:
@@ -89,7 +90,7 @@ def test_e20b_bottleneck_prediction(benchmark):
         wl = OnlineWorkload.bernoulli(
             g, num_objects=8, k=2, rate=1.5 / g.num_nodes, horizon=50, seed=3
         )
-        trace = Simulator(g, GreedyScheduler(), wl, hop_motion=True).run()
+        trace = Simulator(g, GreedyScheduler(), wl, config=HOP).run()
         rho, table = predicted_vs_measured(g, trace)
         hot = table[0]
         rows.append([name, round(rho, 2), f"{hot[0][0]}-{hot[0][1]}", hot[2]])

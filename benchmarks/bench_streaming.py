@@ -28,7 +28,7 @@ from repro.analysis import slo_summary, stability_frontier
 from repro.core import GreedyScheduler
 from repro.network import topologies
 from repro.obs import CountersProbe
-from repro.sim import Simulator
+from repro.sim import SimConfig, Simulator
 from repro.workloads import PoissonOpenWorkload, WorkloadSpec
 
 #: (clique size, λ, horizon): dense enough that most steps are active.
@@ -47,7 +47,7 @@ FRONTIER_SCHEDULERS = ["fifo", "greedy"]
 def _run(n, lam, until, probe=None):
     g = topologies.clique(n)
     wl = PoissonOpenWorkload(g, lam, num_objects=max(4, n // 2), k=2, seed=0)
-    sim = Simulator(g, GreedyScheduler(uniform_beta=1), wl, probe=probe)
+    sim = Simulator(g, GreedyScheduler(uniform_beta=1), wl, config=SimConfig(probe=probe))
     return sim.run(until=until, warmup=until // WARMUP_FRACTION)
 
 

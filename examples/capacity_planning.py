@@ -13,7 +13,7 @@ then uses the timeline analytics to show where the pressure concentrates.
 Run:  python examples/capacity_planning.py
 """
 
-from repro import GreedyScheduler, Simulator, topologies
+from repro import GreedyScheduler, SimConfig, Simulator, topologies
 from repro.analysis import hottest_nodes, peak_concurrency, render_table, transit_series
 from repro.workloads import OnlineWorkload, ZipfChooser
 
@@ -41,8 +41,7 @@ def main() -> None:
             graph,
             GreedyScheduler(),
             build_workload(graph),
-            node_egress_capacity=cap,
-            strict=False,
+            config=SimConfig(node_egress_capacity=cap, strict=False),
         )
         trace = sim.run()
         if baseline is None:

@@ -14,7 +14,7 @@ variant (Algorithm 3) pays for dropping the centralized scheduler.
 Run:  python examples/datacenter_cluster.py
 """
 
-from repro import Simulator, certify_trace, topologies
+from repro import SimConfig, Simulator, certify_trace, topologies
 from repro.analysis import competitive_ratio, render_table, summarize
 from repro.core import BucketScheduler, DistributedBucketScheduler
 from repro.offline import ClusterBatchScheduler
@@ -34,7 +34,9 @@ def build_workload(graph, seed):
 
 
 def run(graph, scheduler, *, speed=1, seed=3):
-    sim = Simulator(graph, scheduler, build_workload(graph, seed), object_speed_den=speed)
+    sim = Simulator(
+        graph, scheduler, build_workload(graph, seed), config=SimConfig(object_speed_den=speed)
+    )
     trace = sim.run()
     certify_trace(graph, trace)
     ratio, _ = competitive_ratio(graph, trace)

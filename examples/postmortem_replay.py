@@ -14,7 +14,7 @@ Run:  python examples/postmortem_replay.py
 import os
 import tempfile
 
-from repro import GreedyScheduler, Simulator, certify_trace, topologies
+from repro import GreedyScheduler, SimConfig, Simulator, certify_trace, topologies
 from repro.analysis import run_experiment, run_report, comparison_report
 from repro.core import BucketScheduler, ReplayScheduler
 from repro.offline import ColoringBatchScheduler
@@ -46,9 +46,7 @@ def main() -> None:
         graph,
         ReplayScheduler(trace),
         replay_wl,
-        hop_motion=True,
-        link_capacity=1,
-        strict=False,
+        config=SimConfig(transport="hop", link_capacity=1, strict=False),
     )
     congested = sim.run()
     print(

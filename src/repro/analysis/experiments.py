@@ -5,11 +5,9 @@ independently, and compute metrics/ratios.  Every benchmark and example
 funnels through :func:`run_experiment`, so every number in EXPERIMENTS.md
 comes from a *certified feasible* schedule.
 
-Engine knobs are taken from a :class:`~repro.sim.config.SimConfig` —
-including the previously unreachable ``hop_motion`` / ``link_capacity`` /
-``strict`` combinations::
+Engine knobs are taken from a :class:`~repro.sim.config.SimConfig`::
 
-    run_experiment(g, sched, wl, config=SimConfig(hop_motion=True,
+    run_experiment(g, sched, wl, config=SimConfig(transport="hop",
                                                   link_capacity=1,
                                                   strict=False))
 
@@ -20,11 +18,10 @@ certification is skipped for them (the deferral count is the measurement).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
-from repro._types import DeparturePolicy, Time
+from repro._types import Time
 from repro.analysis.metrics import RunMetrics, summarize
 from repro.analysis.ratios import RatioPoint, competitive_ratio, makespan_ratio
 from repro.analysis.slo import SloSummary, slo_summary
@@ -47,16 +44,6 @@ def resolve_workload(graph: Graph, workload):
     if hasattr(workload, "build") and hasattr(workload, "kind"):
         return workload.build(graph)
     return workload
-
-
-def _warn_shorthand(name: str) -> None:
-    warnings.warn(
-        f"run_experiment({name}=...) is deprecated; pass "
-        f"config=SimConfig().with_overrides({name}=...) (or a SimConfig "
-        f"with the field set) instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
 
 
 @dataclass
@@ -92,9 +79,6 @@ def run_experiment(
     workload,
     *,
     config: Optional[SimConfig] = None,
-    object_speed_den: Optional[int] = None,
-    departure_policy: Optional[DeparturePolicy] = None,
-    probe=None,
     certify: bool = True,
     compute_ratios: bool = True,
     max_steps: Optional[int] = None,
@@ -106,23 +90,9 @@ def run_experiment(
     here).  Open (streaming) workloads never reach quiescence — use
     :func:`run_stream` for those.
 
-    ``config`` carries every engine knob.  The ``object_speed_den`` /
-    ``departure_policy`` / ``probe`` shorthand keywords are **deprecated**
-    (they still work, and still override the corresponding ``config``
-    field): pass ``config=SimConfig.with_overrides(...)`` instead.
+    ``config`` carries every engine knob (``None`` = the defaults).
     """
-    for name, value in (
-        ("object_speed_den", object_speed_den),
-        ("departure_policy", departure_policy),
-        ("probe", probe),
-    ):
-        if value is not None:
-            _warn_shorthand(name)
-    cfg = (config or SimConfig()).with_overrides(
-        object_speed_den=object_speed_den,
-        departure_policy=departure_policy,
-        probe=probe,
-    )
+    cfg = config or SimConfig()
     workload = resolve_workload(graph, workload)
     if getattr(workload, "open_system", False):
         raise WorkloadError(

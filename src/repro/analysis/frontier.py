@@ -94,7 +94,7 @@ def run_probe(probe: FrontierProbe) -> Dict[str, Any]:
 
     graph = _cached_topology(probe.topology)
     scheduler, speed = make_scheduler(probe.scheduler, graph)
-    cfg = SimConfig().with_overrides(object_speed_den=speed)
+    cfg = SimConfig(object_speed_den=speed)
     result = run_stream(
         graph,
         scheduler,

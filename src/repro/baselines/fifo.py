@@ -9,7 +9,7 @@ is the natural "no scheduler" upper anchor for every experiment.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro._types import NodeId, ObjectId, Time
 from repro.core.base import OnlineScheduler
@@ -20,9 +20,6 @@ from repro.sim.transactions import Transaction
 class FifoSerialScheduler(OnlineScheduler):
     """Serializes all transactions in (arrival time, tid) order."""
 
-    #: Incremental protocol: arrival-driven only.
-    wants_deltas = True
-
     def __init__(self) -> None:
         super().__init__()
         self._horizon: Time = 0
@@ -30,12 +27,9 @@ class FifoSerialScheduler(OnlineScheduler):
         #: drains (home of its last planned requester)
         self._planned_pos: Dict[ObjectId, NodeId] = {}
 
-    def on_deltas(self, t: Time, deltas) -> None:
-        if deltas.arrived:
-            self.on_step(t, deltas.arrived)
-
     def on_step(self, t: Time, new_txns: List[Transaction]) -> None:
-        assert self.sim is not None
+        if not new_txns:
+            return
         speed = self.sim.object_speed_den
         graph = self.sim.graph
         for txn in sorted(new_txns, key=lambda x: x.tid):

@@ -246,9 +246,8 @@ def make_config(args, speed: int, probe=None, faults=None) -> SimConfig:
     count is the measurement.  Fault runs (--faults) stay strict: misses
     route through the recovery machinery, not the deferral path.
 
-    ``--transport`` selects the motion model explicitly; without it the
-    legacy inference applies (``--hop-motion`` or ``--link-capacity``
-    imply the hop transport).
+    ``--transport`` selects the motion model explicitly; without it
+    ``--hop-motion`` or ``--link-capacity`` imply ``transport="hop"``.
     """
     link_capacity = getattr(args, "link_capacity", None)
     node_capacity = getattr(args, "node_capacity", None)
@@ -261,6 +260,8 @@ def make_config(args, speed: int, probe=None, faults=None) -> SimConfig:
             )
         if getattr(args, "hop_motion", False):
             raise SystemExit("--transport direct conflicts with --hop-motion")
+    elif transport is None and (getattr(args, "hop_motion", False) or link_capacity):
+        transport = "hop"
     congested = bool(link_capacity or node_capacity)
     checkpoint = getattr(args, "checkpoint", None)
     return SimConfig(
@@ -269,8 +270,6 @@ def make_config(args, speed: int, probe=None, faults=None) -> SimConfig:
         object_speed_den=max(speed, args.object_speed),
         strict=not congested,
         node_egress_capacity=node_capacity,
-        hop_motion=transport != "direct"
-        and (getattr(args, "hop_motion", False) or bool(link_capacity)),
         link_capacity=link_capacity,
         probe=probe,
         transport=transport,
@@ -757,7 +756,7 @@ def cmd_replay(args) -> int:
         workload_from_trace(trace),
         config=SimConfig(
             object_speed_den=trace.object_speed_den,
-            hop_motion=args.hop_motion or bool(args.link_capacity),
+            transport="hop" if args.hop_motion or args.link_capacity else None,
             link_capacity=args.link_capacity,
             node_egress_capacity=args.node_capacity,
             strict=False,

@@ -68,17 +68,6 @@ class AdaptiveScheduler(OnlineScheduler):
         self.delegate.bind(sim)
         self.emit("adaptive", 0, choice=self.choice)
 
-    @property
-    def wants_deltas(self) -> bool:
-        # Resolved by the engine *after* bind, when the delegate exists;
-        # forwards the delegate's protocol choice.
-        return self.delegate is not None and bool(
-            getattr(self.delegate, "wants_deltas", False)
-        )
-
-    def on_deltas(self, t: Time, deltas) -> None:
-        self.delegate.on_deltas(t, deltas)
-
     def on_step(self, t: Time, new_txns: List[Transaction]) -> None:
         self.delegate.on_step(t, new_txns)
 

@@ -20,12 +20,6 @@ from repro.sim.transactions import Transaction
 class OnlineScheduler(abc.ABC):
     """Base class for all online schedulers."""
 
-    #: Incremental protocol opt-in (docs/performance.md).  When True the
-    #: engine calls :meth:`on_deltas` with the per-step delta feed
-    #: instead of :meth:`on_step`; schedulers that leave it False keep
-    #: the legacy full-scan entry point, byte-identical to before.
-    wants_deltas: bool = False
-
     def __init__(self) -> None:
         self.sim: Optional[Simulator] = None
         self._obs = None
@@ -48,30 +42,15 @@ class OnlineScheduler(abc.ABC):
 
     @abc.abstractmethod
     def on_step(self, t: Time, new_txns: List[Transaction]) -> None:
-        """Handle one active time step.
+        """Handle one active time step (the engine's only scheduler entry
+        point).
 
         ``new_txns`` are the transactions generated at ``t`` (the paper's
-        ``T_t^g``); they are live and unscheduled.  Implementations may
+        ``T_t^g``); they are live and unscheduled, and the list is empty
+        on steps where nothing arrived.  Implementations may
         schedule them now (greedy) or stash them for a later activation
         (bucket schedulers).
         """
-
-    def on_deltas(self, t: Time, deltas) -> None:
-        """Incremental entry point (active when ``wants_deltas`` is True).
-
-        ``deltas`` is a :class:`repro.core.dependency.StepDeltas`: the
-        arrivals of this step plus everything that changed since the
-        scheduler last ran — departed tids, released objects, and the
-        dirty set of pending transactions whose constraints moved.  A
-        correct implementation must produce the exact same
-        ``commit_schedule`` calls the full-scan ``on_step`` would (the
-        differential suite in ``tests/test_incremental.py`` pins this
-        for every bundled scheduler).
-
-        The default delegates to :meth:`on_step` with the arrivals, which
-        is sufficient for schedulers that only react to new transactions.
-        """
-        self.on_step(t, deltas.arrived)
 
     def on_reschedule(self, txn: Transaction, t: Time) -> None:
         """Recovery hook (:mod:`repro.faults`): ``txn`` missed its

@@ -91,30 +91,19 @@ class BucketScheduler(OnlineScheduler):
                     due.append(i)
         return due
 
-    #: Incremental protocol: arrivals and activations only — the state
-    #: view is built lazily, so steps with no insertions and only empty
-    #: due buckets touch nothing but the activation bookkeeping.
-    wants_deltas = True
-
-    def on_deltas(self, t: Time, deltas) -> None:
-        assert self.sim is not None
-        if deltas.arrived:
-            view = SimStateView(self.sim, t)
-            for txn in deltas.arrived:
-                self._insert(view, txn, t)
-        # _activate updates _last_activation even for empty buckets
-        # (align=False periods are measured from it), matching on_step.
-        for level in self._due_levels(t):
-            self._activate(level, t)
-
     def on_step(self, t: Time, new_txns: List[Transaction]) -> None:
         assert self.sim is not None
-        view = SimStateView(self.sim, t)
         # Algorithm 2 line 4: insert each newly generated transaction into
-        # the smallest bucket whose batch still fits its 2**i budget.
-        for txn in new_txns:
-            self._insert(view, txn, t)
-        # Lines 5-8: activate due buckets, lowest level first.
+        # the smallest bucket whose batch still fits its 2**i budget.  The
+        # state view is built only when something arrived, so steps with
+        # no insertions touch nothing but the activation bookkeeping.
+        if new_txns:
+            view = SimStateView(self.sim, t)
+            for txn in new_txns:
+                self._insert(view, txn, t)
+        # Lines 5-8: activate due buckets, lowest level first.  _activate
+        # updates _last_activation even for empty buckets (align=False
+        # periods are measured from it).
         for level in self._due_levels(t):
             self._activate(level, t)
 

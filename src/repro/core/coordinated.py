@@ -54,14 +54,6 @@ class CoordinatedGreedyScheduler(OnlineScheduler):
             g = sim.graph
             self.coordinator = min(g.nodes(), key=lambda u: (g.eccentricity(u), u))
 
-    #: Incremental protocol: requests fire on arrival only; the O(live)
-    #: has_pending scan becomes an O(1) pending-index read.
-    wants_deltas = True
-
-    def on_deltas(self, t: Time, deltas) -> None:
-        if deltas.arrived:
-            self.on_step(t, deltas.arrived)
-
     def on_step(self, t: Time, new_txns: List[Transaction]) -> None:
         assert self.sim is not None
         for txn in new_txns:

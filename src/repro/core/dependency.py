@@ -29,46 +29,12 @@ to both (see ``tests/test_dependency.py``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
-from repro._types import NodeId, ObjectId, Time, TxnId, TxnState, Weight
+from repro._types import ObjectId, Time, TxnId, Weight
 from repro.core.coloring import Constraint
 from repro.sim.engine import Simulator
 from repro.sim.transactions import Transaction
-
-
-class StepDeltas:
-    """What changed since the previous scheduling step (the delta feed).
-
-    Published by :meth:`DependencyTracker.drain_deltas` and consumed by
-    schedulers that opt into the incremental protocol
-    (:class:`repro.core.base.OnlineScheduler.on_deltas`).  Fields:
-
-    * ``t`` — the current step.
-    * ``arrived`` — transactions generated this step (the same list the
-      legacy ``on_step`` receives as ``new_txns``).
-    * ``committed`` — tids that left the live set (committed *or*
-      expired) since the last drain.
-    * ``released`` — object ids whose queue slots those departures
-      released, in sorted order per departure.
-    * ``dirty`` — still-pending (live, unscheduled) tids whose
-      constraint set changed since the last drain: a conflict neighbour
-      was scheduled, committed, or re-homed, or a membership/partition
-      transition invalidated distances wholesale.
-
-    The engine reuses one instance per simulator; the field values are
-    only valid for the duration of the ``on_deltas`` call that receives
-    them — schedulers must copy anything they keep across steps.
-    """
-
-    __slots__ = ("t", "arrived", "committed", "released", "dirty")
-
-    def __init__(self) -> None:
-        self.t: Time = 0
-        self.arrived: List[Transaction] = []
-        self.committed: List[TxnId] = []
-        self.released: List[ObjectId] = []
-        self.dirty: Set[TxnId] = set()
 
 
 def holder_key(sim: Simulator, oid: ObjectId) -> Tuple[str, int]:
@@ -264,15 +230,6 @@ class DependencyTracker:
         self.sim = sim
         #: tid -> {conflicting live tid -> unscaled home distance}
         self.adj: Dict[TxnId, Dict[TxnId, Weight]] = {}
-        #: delta-feed collection gate: set by the engine once it knows the
-        #: bound scheduler opted into ``on_deltas`` — legacy full-scan
-        #: schedulers never pay for (or leak) buffered deltas
-        self.collect: bool = False
-        self._d_committed: List[TxnId] = []
-        self._d_released: List[ObjectId] = []
-        self._d_dirty: Set[TxnId] = set()
-        self._d_all_dirty: bool = False
-        self._deltas = StepDeltas()
 
     # -- engine lifecycle hooks ---------------------------------------
     def on_generate(self, txn: Transaction) -> None:
@@ -312,10 +269,6 @@ class DependencyTracker:
         the nearest member); the cached adjacency stores home distances,
         so both directions of every incident edge are re-measured."""
         nbrs = self.adj.get(txn.tid)
-        if self.collect:
-            self._d_dirty.add(txn.tid)
-            if nbrs:
-                self._d_dirty.update(nbrs)
         if not nbrs:
             return
         g = self.sim.graph
@@ -334,61 +287,12 @@ class DependencyTracker:
         transaction leaves the live set and its queue slots release.
         """
         nbrs = self.adj.pop(txn.tid, None)
-        if self.collect:
-            self._d_committed.append(txn.tid)
-            self._d_released.extend(sorted(txn.all_objects))
-            if nbrs:
-                self._d_dirty.update(nbrs)
         if nbrs:
             adj = self.adj
             for tid in nbrs:
                 other = adj.get(tid)
                 if other is not None:
                     other.pop(txn.tid, None)
-
-    # -- delta feed (incremental scheduling protocol) ------------------
-    def note_scheduled(self, txn: Transaction) -> None:
-        """A transaction was just assigned an execution time: its pending
-        conflict neighbours gain one constraint each."""
-        if self.collect:
-            nbrs = self.adj.get(txn.tid)
-            if nbrs:
-                self._d_dirty.update(nbrs)
-
-    def note_topology_change(self) -> None:
-        """A membership or partition transition changed distances (or
-        reachability) wholesale: every pending transaction is dirty."""
-        if self.collect:
-            self._d_all_dirty = True
-
-    def drain_deltas(self, t: Time, arrived: List[Transaction]) -> StepDeltas:
-        """Swap out the buffered deltas into the shared :class:`StepDeltas`.
-
-        Fresh buffers are installed *before* the caller hands the deltas
-        to the scheduler, so constraint changes caused by scheduling
-        decisions made inside ``on_deltas`` land in the next step's feed.
-        """
-        sim = self.sim
-        d = self._deltas
-        d.t = t
-        d.arrived = arrived
-        d.committed = self._d_committed
-        d.released = self._d_released
-        if self._d_committed:
-            self._d_committed = []
-        if self._d_released:
-            self._d_released = []
-        pending = sim.pending._unscheduled
-        if self._d_all_dirty:
-            self._d_all_dirty = False
-            self._d_dirty.clear()
-            d.dirty = set(pending)
-        else:
-            buf = self._d_dirty
-            d.dirty = {tid for tid in buf if tid in pending}
-            if buf:
-                self._d_dirty = set()
-        return d
 
     # -- queries ------------------------------------------------------
     def constraints_for(self, txn: Transaction, *, now: Time) -> List[Constraint]:

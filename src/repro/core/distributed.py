@@ -156,16 +156,6 @@ class DistributedBucketScheduler(OnlineScheduler):
     # ------------------------------------------------------------------
     # step handling
     # ------------------------------------------------------------------
-    #: Incremental protocol: discovery starts on arrival, activations on
-    #: due periods; everything else travels by message callback.
-    wants_deltas = True
-
-    def on_deltas(self, t: Time, deltas) -> None:
-        assert self.sim is not None
-        for txn in deltas.arrived:
-            self._start_discovery(txn, t)
-        self._activate_due(t)
-
     def on_step(self, t: Time, new_txns: List[Transaction]) -> None:
         assert self.sim is not None
         for txn in new_txns:

@@ -17,7 +17,7 @@ Guarantees reproduced by the tests and experiment E1/E2/E3:
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 from repro._types import Time, Weight
 from repro.core.base import OnlineScheduler
@@ -69,21 +69,9 @@ class GreedyScheduler(OnlineScheduler):
         #: analysis hook: (tid, color, theorem_bound) per scheduled txn
         self.color_log: List[tuple] = []
 
-    #: Greedy only reacts to arrivals, so the incremental protocol costs
-    #: nothing extra; it buys the shared constraint memo below.
-    wants_deltas = True
-
-    def on_deltas(self, t: Time, deltas) -> None:
-        if deltas.arrived:
-            self._color_batch(t, deltas.arrived)
-
     def on_step(self, t: Time, new_txns: List[Transaction]) -> None:
-        assert self.sim is not None, "scheduler not bound to a simulator"
         if not new_txns:
             return
-        self._color_batch(t, new_txns)
-
-    def _color_batch(self, t: Time, new_txns: List[Transaction]) -> None:
         sim = self.sim
         index = getattr(sim, "pending", None)
         if index is not None:

@@ -1,9 +1,7 @@
-"""Shared pending-transaction index for incremental scheduling.
+"""Shared pending-transaction index for the schedulers.
 
-:class:`PendingIndex` (``sim.pending``) is the engine-maintained
-companion to the delta feed (:class:`repro.core.dependency.StepDeltas`):
-where the feed says *what changed*, the index answers the recurring
-scheduler queries in O(changed) instead of O(pending):
+:class:`PendingIndex` (``sim.pending``) is engine-maintained and answers
+the recurring scheduler queries in O(changed) instead of O(pending):
 
 * **Unscheduled set** — the live transactions still waiting for an
   execution time, in arrival order.  Invariant: ``_unscheduled`` equals
@@ -26,8 +24,8 @@ scheduler queries in O(changed) instead of O(pending):
 
 The engine feeds the index from the same lifecycle sites that feed the
 dependency tracker (generate, schedule, recover, expire, commit), so it
-is always consistent with the live set regardless of which scheduler —
-incremental or legacy full-scan — is bound.
+is always consistent with the live set regardless of which scheduler is
+bound.
 """
 
 from __future__ import annotations
@@ -90,13 +88,10 @@ class PendingIndex:
         for oid in txn.reads:
             self.sched_readers[objects[oid].index][tid] = txn
         # Pending conflict neighbours gained a constraint: drop their
-        # memo entries and feed the cross-step dirty set.
-        deps = sim.deps
-        nbrs = deps.adj.get(tid)
+        # memo entries.
+        nbrs = sim.deps.adj.get(tid)
         if nbrs:
             self._stale.update(nbrs)
-            if deps.collect:
-                deps._d_dirty.update(nbrs)
 
     def on_unschedule(self, txn: "Transaction") -> None:
         """Recovery revoked ``txn``'s execution time (fault layer)."""
@@ -109,13 +104,9 @@ class PendingIndex:
         for oid in txn.reads:
             self.sched_readers[objects[oid].index].pop(tid, None)
         self._stale.add(tid)
-        deps = sim.deps
-        nbrs = deps.adj.get(tid)
+        nbrs = sim.deps.adj.get(tid)
         if nbrs:
             self._stale.update(nbrs)
-            if deps.collect:
-                deps._d_dirty.add(tid)
-                deps._d_dirty.update(nbrs)
 
     def on_retire(self, txn: "Transaction") -> None:
         """``txn`` left the live set (commit or deadline expiry)."""

@@ -38,20 +38,10 @@ class WindowedBatchScheduler(OnlineScheduler):
         #: (close_time, batch_size) log for analysis
         self.window_log: List[tuple] = []
 
-    #: Incremental protocol: arrivals accumulate, the plan fires at
-    #: window closes — identical decisions, no per-step rescan.
-    wants_deltas = True
-
-    def on_deltas(self, t: Time, deltas) -> None:
-        assert self.sim is not None
-        if deltas.arrived:
-            self.pending.extend(deltas.arrived)
-        if t % self.window == 0 and self.pending:
-            self._close_window(t)
-
     def on_step(self, t: Time, new_txns: List[Transaction]) -> None:
         assert self.sim is not None
-        self.pending.extend(new_txns)
+        if new_txns:
+            self.pending.extend(new_txns)
         if t % self.window == 0 and self.pending:
             self._close_window(t)
 

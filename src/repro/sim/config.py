@@ -1,18 +1,11 @@
 """SimConfig: one frozen value object for every engine knob.
 
-The :class:`~repro.sim.engine.Simulator` grew nine keyword parameters;
-call sites that need to thread them through layers (``run_experiment``,
-``replicate``, the CLI, suite files) ended up re-declaring each knob at
-every level — and drifting (``run_experiment`` could not express
-``hop_motion`` / ``link_capacity`` / ``strict`` runs at all).
-:class:`SimConfig` consolidates them:
+:class:`SimConfig` is the only way to configure a run: the
+:class:`~repro.sim.engine.Simulator`, ``run_experiment``, ``replicate``,
+the CLI and suite files all thread one value through their layers
+instead of re-declaring each knob at every level:
 
-    Simulator(g, sched, wl, config=SimConfig(hop_motion=True, link_capacity=1))
-
-The old keyword arguments remain accepted everywhere; an explicitly
-passed keyword wins over the corresponding ``config`` field (and the
-combination is a deprecation-path convenience, not a recommended style —
-pass one ``SimConfig`` instead).
+    Simulator(g, sched, wl, config=SimConfig(transport="hop", link_capacity=1))
 """
 
 from __future__ import annotations
@@ -46,9 +39,6 @@ class SimConfig:
         Max object departures per node per step (None = unbounded);
         applied as an :class:`~repro.sim.transport.EgressCapacity`
         decorator around the selected transport.
-    hop_motion:
-        Legacy spelling of ``transport="hop"`` (move objects edge by
-        edge instead of whole shortest-path legs).
     link_capacity:
         Max concurrent traversals per edge; requires a hop transport.
         Applied as a :class:`~repro.sim.transport.LinkCapacity`
@@ -63,7 +53,7 @@ class SimConfig:
         Object-motion strategy (:mod:`repro.sim.transport`): ``"direct"``
         (whole shortest-path legs, the paper default), ``"hop"``
         (edge-by-edge), or a :class:`~repro.sim.transport.Transport`
-        instance.  ``None`` defers to the legacy ``hop_motion`` flag.
+        instance.  ``None`` means ``"direct"``.
         Custom instances are used as given (their ``kind`` attribute
         participates in validation); the capacity knobs above always
         wrap the selected base.
@@ -119,7 +109,6 @@ class SimConfig:
     strict: bool = True
     one_txn_per_node: bool = False
     node_egress_capacity: Optional[int] = None
-    hop_motion: bool = False
     link_capacity: Optional[int] = None
     max_time: Optional[Time] = None
     probe: Optional[Probe] = None
@@ -150,12 +139,9 @@ class SimConfig:
             raise WorkloadError(
                 f"unknown transport {self.transport!r} (choose 'direct' or 'hop')"
             )
-        if self.transport is not None and self.hop_motion and self.transport_kind == "direct":
-            raise WorkloadError("transport='direct' conflicts with hop_motion=True")
         if self.link_capacity is not None and self.transport_kind == "direct":
             raise WorkloadError(
-                "link_capacity requires a hop transport "
-                "(hop_motion=True or transport='hop')"
+                "link_capacity requires a hop transport (transport='hop')"
             )
         if self.link_capacity is not None and self.link_capacity < 1:
             raise WorkloadError(
@@ -216,11 +202,11 @@ class SimConfig:
     def transport_kind(self) -> str:
         """Resolved motion granularity: "direct", "hop", or "custom".
 
-        ``transport=None`` resolves through the legacy ``hop_motion``
-        flag; transport instances report their own ``kind``.
+        ``transport=None`` is ``"direct"``; transport instances report
+        their own ``kind``.
         """
         if self.transport is None:
-            return "hop" if self.hop_motion else "direct"
+            return "direct"
         if isinstance(self.transport, str):
             return self.transport
         return getattr(self.transport, "kind", "custom")
@@ -228,14 +214,3 @@ class SimConfig:
     def replace(self, **changes) -> "SimConfig":
         """A copy with ``changes`` applied (``dataclasses.replace``)."""
         return dataclasses.replace(self, **changes)
-
-    def with_overrides(self, **overrides) -> "SimConfig":
-        """A copy where every non-``None`` override wins.
-
-        This is the kwargs-beat-config merge rule used by
-        :class:`~repro.sim.engine.Simulator` and
-        :func:`~repro.analysis.experiments.run_experiment` for backward
-        compatibility with the pre-``SimConfig`` keyword API.
-        """
-        changes = {k: v for k, v in overrides.items() if v is not None}
-        return dataclasses.replace(self, **changes) if changes else self

@@ -79,51 +79,10 @@ class Simulator:
         optionally ``on_commit(txn, t)`` for closed-loop generation.
         Tests may instead drive the engine manually with :meth:`submit`.
     config:
-        A :class:`~repro.sim.config.SimConfig` bundling every knob below
-        (plus ``probe`` and ``transport``).  Individual keyword
-        arguments, when passed explicitly, override the corresponding
-        ``config`` field — they are the backward-compatible spelling;
-        new code should pass one ``SimConfig``.
-    probe:
-        Observability probe (:mod:`repro.obs`).  ``None`` (the default)
-        is the zero-overhead :class:`~repro.obs.probe.NullProbe`: no
-        callback is ever invoked and traces are byte-identical to an
-        un-instrumented engine.
-    departure_policy:
-        ``EAGER`` (paper default: forward on commit) or ``LAZY``
-        (just-in-time departure; ablation E11).
-    object_speed_den:
-        Time steps per unit distance for *objects*; 2 enables the
-        half-speed rule of Algorithm 3.
-    strict:
-        If True, a transaction missing objects at its execution step is a
-        hard error.  If False the execution is deferred step by step and a
-        :class:`Violation` is recorded.
-    one_txn_per_node:
-        Enforce the paper's scheduling-problem constraint that each node
-        holds at most one live transaction at a time.
-    transport:
-        Object-motion strategy: ``"direct"``, ``"hop"``, or a
-        :class:`~repro.sim.transport.Transport` instance (see
-        :mod:`repro.sim.transport`).
-    node_egress_capacity:
-        Optional congestion model (the paper's Section VI open question):
-        at most this many objects may *depart* any single node per time
-        step; excess departures wait for the next step.  Schedules
-        computed for the congestion-free model may then miss deadlines,
-        so congestion studies run with ``strict=False`` and measure the
-        violation-induced delay (bench E13).
-    hop_motion:
-        Legacy spelling of ``transport="hop"``: objects move edge by
-        edge (one trace leg per hop, route re-evaluated at every node)
-        instead of covering whole shortest-path legs at once.  Required
-        for per-link capacity.
-    link_capacity:
-        Section VI's *bounded link capacity*: at most this many objects
-        may traverse any single edge concurrently (both directions
-        combined).  Requires a hop transport.  Excess traversals wait
-        at the upstream node; run with ``strict=False`` to study the
-        deferral cost (bench E20).
+        A :class:`~repro.sim.config.SimConfig` bundling every run knob:
+        departure policy, object speed, strictness, capacities, transport,
+        probe, faults, service, checkpoints.  ``None`` runs the paper's
+        default model.
     """
 
     def __init__(
@@ -133,33 +92,8 @@ class Simulator:
         workload=None,
         *,
         config: Optional[SimConfig] = None,
-        departure_policy: Optional[DeparturePolicy] = None,
-        object_speed_den: Optional[int] = None,
-        strict: Optional[bool] = None,
-        one_txn_per_node: Optional[bool] = None,
-        node_egress_capacity: Optional[int] = None,
-        hop_motion: Optional[bool] = None,
-        link_capacity: Optional[int] = None,
-        max_time: Optional[Time] = None,
-        probe=None,
-        transport=None,
-        faults=None,
     ) -> None:
-        # Merge rule: start from config (or defaults); explicitly passed
-        # keywords win.  SimConfig.__post_init__ re-validates the result.
-        cfg = (config or SimConfig()).with_overrides(
-            departure_policy=departure_policy,
-            object_speed_den=object_speed_den,
-            strict=strict,
-            one_txn_per_node=one_txn_per_node,
-            node_egress_capacity=node_egress_capacity,
-            hop_motion=hop_motion,
-            link_capacity=link_capacity,
-            max_time=max_time,
-            probe=probe,
-            transport=transport,
-            faults=faults,
-        )
+        cfg = config or SimConfig()
         self.config = cfg
         self.graph = graph
         self.scheduler = scheduler
@@ -169,7 +103,6 @@ class Simulator:
         self.strict = cfg.strict
         self.one_txn_per_node = cfg.one_txn_per_node
         self.node_egress_capacity = cfg.node_egress_capacity
-        self.hop_motion = cfg.transport_kind == "hop"
         self.link_capacity = cfg.link_capacity
         self.max_time = cfg.max_time
         self.probe = cfg.probe if cfg.probe is not None else NULL_PROBE
@@ -317,12 +250,6 @@ class Simulator:
                 for spec in workload.arrivals():
                     self.submit(spec)
         scheduler.bind(self)
-        #: incremental-protocol dispatch flag, resolved once after bind
-        #: (adaptive schedulers pick their delegate at bind time); also
-        #: gates the tracker's delta buffering so legacy schedulers never
-        #: accumulate a feed nobody drains
-        self._sched_wants_deltas = bool(getattr(scheduler, "wants_deltas", False))
-        self.deps.collect = self._sched_wants_deltas
         #: bound-method caches for the run loop and per-commit hot paths
         #: (getattr-per-iteration showed up in profiles)
         self._sched_has_pending = getattr(scheduler, "has_pending", None)
@@ -777,10 +704,8 @@ class Simulator:
                         PartitionRecord(p.cut, p.start, p.end)
                     )
                     self.record_fault(kind, t, extra=extra)
-                    self.deps.note_topology_change()
                 elif kind == "heal":
                     self.record_fault(kind, t)
-                    self.deps.note_topology_change()
                 elif kind == "join":
                     # ``node`` slot carries the join index.
                     self._apply_join(node, t)
@@ -871,13 +796,9 @@ class Simulator:
             obs.on_phase_end("generate", t)
             obs.on_phase_begin("schedule", t)
         # Phase 3: let the scheduler act (schedule new txns / activate
-        # buckets).  Incremental schedulers receive the per-step delta
-        # feed instead of rescanning (docs/performance.md).
+        # buckets).
         try:
-            if self._sched_wants_deltas:
-                self.scheduler.on_deltas(t, self.deps.drain_deltas(t, new_txns))
-            else:
-                self.scheduler.on_step(t, new_txns)
+            self.scheduler.on_step(t, new_txns)
         except ReproError as exc:
             self._add_step_context(exc, t, new_txns)
             raise
@@ -974,7 +895,6 @@ class Simulator:
         self._live_home_count.append(0)
         self.trace.membership.append(MembershipRecord("join", j.node, t, j.edges))
         self.record_fault("join", t, node=j.node)
-        self.deps.note_topology_change()
         self._membership_hook("join", j.node, t)
 
     def _begin_drain(self, node: NodeId, t: Time) -> None:
@@ -1003,7 +923,6 @@ class Simulator:
         self.record_fault(
             "leave", t, node=node, extra=(t - drained) if drained is not None else 0
         )
-        self.deps.note_topology_change()
         for tid in sorted(self.live):
             txn = self.live[tid]
             if txn.home == node:
@@ -1218,22 +1137,18 @@ class Simulator:
         """Cancel an admitted transaction whose deadline passed (service
         mode, :mod:`repro.service`).
 
-        Un-commits exactly like :meth:`_recover` step (2) — releases the
-        transaction's object-queue slots and re-cuts any served readers
-        whose copy version assumed its old queue position — then retires
-        it from the live set the way :meth:`_commit` does, except the
-        outcome is an :class:`ExpiredRecord`: the tid never reaches
+        Releases the transaction's object-queue slots, then retires it
+        from the live set the way :meth:`_commit` does.  Served readers
+        keep their copies: a reader is served only once every writer
+        preceding it has committed, so an uncommitted expiring writer
+        never precedes one and no copy depends on its queue position.
+        The outcome is an :class:`ExpiredRecord`: the tid never reaches
         ``trace.txns``, and the certifier checks object conservation
         through the cancellation.
         """
         for oid in txn.objects:
             obj = self.objects[oid]
             obj.remove_writer(txn.tid)
-            for entry in obj.read_waiters:
-                if entry.tid in obj.reads_served:
-                    obj.reads_served.discard(entry.tid)
-                    obj.reads_delivered.discard(entry.tid)
-                    obj.read_epoch[entry.tid] = obj.read_epoch.get(entry.tid, 0) + 1
             self._needs_departure_check.add(oid)
             self._service_reads(obj, t)
         for oid in txn.reads:

@@ -19,12 +19,11 @@ already queued a retry on the engine's event spine
 else: commit logic, departure policy (eager/lazy), trace legs, and the
 ``on_depart``/``on_arrive`` probe events.
 
-Selection and legacy mapping (``repro.sim.config.SimConfig``)::
+Selection (``repro.sim.config.SimConfig``)::
 
     SimConfig(transport="hop")                  # edge-by-edge motion
     SimConfig(transport="direct")               # whole-leg motion (default)
     SimConfig(transport=MyTransport())          # custom strategy
-    SimConfig(hop_motion=True)                  # legacy spelling of "hop"
     SimConfig(link_capacity=2, transport="hop") # wraps in LinkCapacity
     SimConfig(node_egress_capacity=1)           # wraps in EgressCapacity
 
@@ -434,8 +433,8 @@ class LatencyDistTransport(TransportDecorator):
 def build_transport(config) -> Transport:
     """Materialize ``config.transport`` (+ capacity knobs) as one strategy.
 
-    ``config.transport`` may be "direct", "hop", ``None`` (legacy
-    ``hop_motion`` flag decides), or a :class:`Transport` instance; the
+    ``config.transport`` may be "direct", "hop", ``None`` (= "direct"),
+    or a :class:`Transport` instance; the
     ``link_capacity`` / ``node_egress_capacity`` fields wrap the base in
     the corresponding decorators, and an active ``config.faults`` plan
     wraps everything in :class:`FaultyTransport`.

@@ -10,6 +10,7 @@ from repro.analysis.bottlenecks import (
 )
 from repro.core import GreedyScheduler
 from repro.network import topologies
+from repro.sim.config import SimConfig
 from repro.sim.engine import Simulator
 from repro.workloads import OnlineWorkload, hotspot_workload
 
@@ -49,7 +50,7 @@ class TestBetweenness:
 
 class TestMeasuredLoad:
     def run_hop(self, g, wl):
-        return Simulator(g, GreedyScheduler(), wl, hop_motion=True).run()
+        return Simulator(g, GreedyScheduler(), wl, config=SimConfig(transport="hop")).run()
 
     def test_hop_trace_counts_exact_edges(self):
         g = topologies.line(6)

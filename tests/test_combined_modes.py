@@ -19,6 +19,7 @@ from repro.core import (
 )
 from repro.network import topologies
 from repro.offline import ColoringBatchScheduler, ImprovedBatchScheduler
+from repro.sim.config import SimConfig
 from repro.sim.engine import Simulator
 from repro.sim.validate import certify_trace
 from repro.workloads import OnlineWorkload
@@ -32,25 +33,25 @@ def make_wl(g, read_fraction, seed=11):
 
 
 COMBOS = [
-    # (label, scheduler factory, speed, engine kwargs, read_fraction)
-    ("greedy+reads+hop", lambda: GreedyScheduler(), 1, {"hop_motion": True}, 0.5),
+    # (label, scheduler factory, speed, SimConfig fields, read_fraction)
+    ("greedy+reads+hop", lambda: GreedyScheduler(), 1, {"transport": "hop"}, 0.5),
     ("greedy+reads+lazy", lambda: GreedyScheduler(), 1,
      {"departure_policy": DeparturePolicy.LAZY}, 0.5),
-    ("greedy+halfspeed+hop+reads", lambda: GreedyScheduler(), 2, {"hop_motion": True}, 0.4),
+    ("greedy+halfspeed+hop+reads", lambda: GreedyScheduler(), 2, {"transport": "hop"}, 0.4),
     ("bucket+reads+hop", lambda: BucketScheduler(ColoringBatchScheduler()), 1,
-     {"hop_motion": True}, 0.5),
+     {"transport": "hop"}, 0.5),
     ("bucket-improved+reads", lambda: BucketScheduler(
         ImprovedBatchScheduler(ColoringBatchScheduler(), iterations=10, seed=1)), 1, {}, 0.5),
     ("windowed+reads+hop", lambda: WindowedBatchScheduler(ColoringBatchScheduler(), window=8),
-     1, {"hop_motion": True}, 0.5),
-    ("coordinated+reads+hop", lambda: CoordinatedGreedyScheduler(), 1, {"hop_motion": True}, 0.5),
-    ("adaptive+reads+hop", lambda: AdaptiveScheduler(), 1, {"hop_motion": True}, 0.3),
+     1, {"transport": "hop"}, 0.5),
+    ("coordinated+reads+hop", lambda: CoordinatedGreedyScheduler(), 1, {"transport": "hop"}, 0.5),
+    ("adaptive+reads+hop", lambda: AdaptiveScheduler(), 1, {"transport": "hop"}, 0.3),
     ("distributed+reads", lambda: DistributedBucketScheduler(ColoringBatchScheduler(), seed=0),
      2, {}, 0.5),
     ("distributed+reads+hop", lambda: DistributedBucketScheduler(ColoringBatchScheduler(), seed=0),
-     2, {"hop_motion": True}, 0.5),
+     2, {"transport": "hop"}, 0.5),
     ("distributed-arrow+reads+hop", lambda: DistributedBucketScheduler(
-        ColoringBatchScheduler(), seed=0, discovery="arrow"), 2, {"hop_motion": True}, 0.4),
+        ColoringBatchScheduler(), seed=0, discovery="arrow"), 2, {"transport": "hop"}, 0.4),
 ]
 
 
@@ -60,7 +61,7 @@ COMBOS = [
 def test_combined_modes_certified(label, factory, speed, kwargs, rf, graph_fn):
     g = graph_fn()
     wl = make_wl(g, rf)
-    sim = Simulator(g, factory(), wl, object_speed_den=speed, **kwargs)
+    sim = Simulator(g, factory(), wl, config=SimConfig(object_speed_den=speed, **kwargs))
     trace = sim.run()
     assert len(trace.txns) == wl.num_txns
     assert certify_trace(g, trace) == []

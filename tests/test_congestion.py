@@ -4,9 +4,13 @@ import pytest
 
 from repro.core import GreedyScheduler
 from repro.network import topologies
+from repro.sim.config import SimConfig
 from repro.sim.engine import Simulator
 from repro.sim.transactions import TxnSpec
 from repro.workloads import ManualWorkload, OnlineWorkload, hotspot_workload
+
+#: unit egress capacity, deferrals recorded instead of raised
+CAP1_LOOSE = SimConfig(node_egress_capacity=1, strict=False)
 
 
 def fan_out_instance(n=6):
@@ -29,7 +33,7 @@ class TestCapacity:
     def test_capacity_staggers_departures(self):
         g, wl = fan_out_instance()
         sim = Simulator(
-            g, GreedyScheduler(), wl, node_egress_capacity=1, strict=False
+            g, GreedyScheduler(), wl, config=CAP1_LOOSE
         )
         trace = sim.run()
         departs = sorted(l.depart_time for l in trace.legs)
@@ -37,7 +41,7 @@ class TestCapacity:
 
     def test_congestion_delays_execution_not_correctness(self):
         g, wl = fan_out_instance()
-        sim = Simulator(g, GreedyScheduler(), wl, node_egress_capacity=1, strict=False)
+        sim = Simulator(g, GreedyScheduler(), wl, config=CAP1_LOOSE)
         trace = sim.run()
         # every txn still commits, later than planned, with violations logged
         assert len(trace.txns) == 5
@@ -48,7 +52,7 @@ class TestCapacity:
         from repro.errors import InfeasibleScheduleError
 
         g, wl = fan_out_instance()
-        sim = Simulator(g, GreedyScheduler(), wl, node_egress_capacity=1, strict=True)
+        sim = Simulator(g, GreedyScheduler(), wl, config=SimConfig(node_egress_capacity=1))
         with pytest.raises(InfeasibleScheduleError):
             sim.run()
 
@@ -58,7 +62,7 @@ class TestCapacity:
         g = topologies.line(12)
         wl = hotspot_workload(g, seed=0)
         sim = Simulator(
-            g, GreedyScheduler(weight_slack=2), wl, node_egress_capacity=1, strict=False
+            g, GreedyScheduler(weight_slack=2), wl, config=CAP1_LOOSE
         )
         trace = sim.run()
         assert trace.violations == []
@@ -68,7 +72,7 @@ class TestCapacity:
         mk = lambda: OnlineWorkload.bernoulli(g, num_objects=4, k=2, rate=0.08, horizon=20, seed=4)
         base = Simulator(g, GreedyScheduler(), mk()).run()
         roomy = Simulator(
-            g, GreedyScheduler(), mk(), node_egress_capacity=100, strict=False
+            g, GreedyScheduler(), mk(), config=SimConfig(node_egress_capacity=100, strict=False)
         ).run()
         assert {t: r.exec_time for t, r in base.txns.items()} == {
             t: r.exec_time for t, r in roomy.txns.items()

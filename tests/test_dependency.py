@@ -8,6 +8,7 @@ from repro.core.dependency import (
     holder_key,
 )
 from repro.network import topologies
+from repro.sim.config import SimConfig
 from repro.sim.engine import Simulator
 from repro.sim.transactions import TxnSpec
 from repro.workloads import ManualWorkload, hotspot_workload
@@ -143,9 +144,9 @@ class _DifferentialScheduler(OnlineScheduler):
             sim.commit_schedule(txn, t + min_valid_color(constraints_for(sim, txn, now=t)))
 
 
-def _run_differential(graph, workload, **kw):
+def _run_differential(graph, workload, config=None):
     sched = _DifferentialScheduler()
-    trace = Simulator(graph, sched, workload, **kw).run()
+    trace = Simulator(graph, sched, workload, config=config).run()
     assert sched.steps_checked > 0
     return trace
 
@@ -173,7 +174,7 @@ def test_tracker_matches_scan_hotspot_grid():
 def test_tracker_matches_scan_half_speed_cluster():
     g = topologies.cluster_graph(3, 3, 5)
     wl = hotspot_workload(g, num_cold_objects=2, k_cold=1, seed=3)
-    _run_differential(g, wl, object_speed_den=2)
+    _run_differential(g, wl, SimConfig(object_speed_den=2))
 
 
 def test_tracker_empty_after_quiescence():

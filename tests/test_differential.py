@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from repro.core import GreedyScheduler
 from repro.network import topologies
+from repro.sim.config import SimConfig
 from repro.sim.engine import Simulator
 from repro.sim.transactions import TxnSpec
 from repro.sim.validate import certify_trace
@@ -47,7 +48,7 @@ def batch_instances(draw):
 
 def run_engine(g, placement, specs, **kw):
     wl = ManualWorkload(placement, specs)
-    return Simulator(g, GreedyScheduler(), wl, **kw).run()
+    return Simulator(g, GreedyScheduler(), wl, config=SimConfig(**kw)).run()
 
 
 class TestLegVsHop:
@@ -59,7 +60,7 @@ class TestLegVsHop:
         must commit identical schedules."""
         g, placement, specs = inst
         leg = run_engine(g, placement, specs)
-        hop = run_engine(g, placement, specs, hop_motion=True)
+        hop = run_engine(g, placement, specs, transport="hop")
         assert {t: r.exec_time for t, r in leg.txns.items()} == {
             t: r.exec_time for t, r in hop.txns.items()
         }
@@ -68,7 +69,7 @@ class TestLegVsHop:
     @SETTINGS
     def test_hop_traces_certify(self, inst):
         g, placement, specs = inst
-        hop = run_engine(g, placement, specs, hop_motion=True)
+        hop = run_engine(g, placement, specs, transport="hop")
         assert certify_trace(g, hop) == []
 
     @given(batch_instances())
@@ -78,7 +79,7 @@ class TestLegVsHop:
         split the same shortest paths)."""
         g, placement, specs = inst
         leg = run_engine(g, placement, specs)
-        hop = run_engine(g, placement, specs, hop_motion=True)
+        hop = run_engine(g, placement, specs, transport="hop")
         assert leg.total_object_travel() == hop.total_object_travel()
 
 
@@ -102,7 +103,7 @@ class TestEngineConfigEquivalences:
         base = run_engine(g, placement, specs)
         capped = run_engine(
             g, placement, specs,
-            hop_motion=True, link_capacity=10_000,
+            transport="hop", link_capacity=10_000,
             node_egress_capacity=10_000, strict=False,
         )
         assert capped.violations == []

@@ -22,7 +22,7 @@ class TestPreconditions:
         g = topologies.line(8)
         wl = BatchWorkload.uniform(g, num_objects=2, k=1, seed=0)
         with pytest.raises(SchedulingError, match="half-speed"):
-            Simulator(g, dist_sched(), wl, object_speed_den=1)
+            Simulator(g, dist_sched(), wl, config=SimConfig(object_speed_den=1))
 
 
 class TestProtocol:

@@ -6,6 +6,7 @@ from repro._types import DeparturePolicy, TxnState
 from repro.core.base import OnlineScheduler
 from repro.errors import InfeasibleScheduleError, SchedulingError, WorkloadError
 from repro.network import topologies
+from repro.sim.config import SimConfig
 from repro.sim.engine import Simulator
 from repro.sim.transactions import TxnSpec
 from repro.sim.validate import certify_trace
@@ -31,7 +32,7 @@ class NullScheduler(OnlineScheduler):
 
 def line_sim(offsets, specs, placement, n=8, **kw):
     wl = ManualWorkload(placement, specs)
-    return Simulator(topologies.line(n), ScriptedScheduler(offsets), wl, **kw)
+    return Simulator(topologies.line(n), ScriptedScheduler(offsets), wl, config=SimConfig(**kw))
 
 
 class TestBasicExecution:
@@ -138,10 +139,7 @@ class TestArrivalHandling:
 
     def test_one_txn_per_node_enforced(self):
         specs = [TxnSpec(0, 2, (0,)), TxnSpec(0, 2, (1,))]
-        wl = ManualWorkload({0: 2, 1: 2}, specs)
-        sim = Simulator(
-            topologies.line(4), ScriptedScheduler({2: 1}), wl, one_txn_per_node=True
-        )
+        sim = line_sim({2: 1}, specs, {0: 2, 1: 2}, n=4, one_txn_per_node=True)
         with pytest.raises(WorkloadError):
             sim.run()
 

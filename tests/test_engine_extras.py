@@ -8,6 +8,7 @@ from repro.core.base import OnlineScheduler
 from repro.core.coloring import greedy_color_sequence
 from repro.errors import InfeasibleScheduleError
 from repro.network import Graph, topologies
+from repro.sim.config import SimConfig
 from repro.sim.engine import Simulator
 from repro.sim.transactions import TxnSpec
 from repro.workloads import ManualWorkload
@@ -18,7 +19,7 @@ class TestEngineExtras:
         g = topologies.line(8)
         specs = [TxnSpec(0, 1, (0,)), TxnSpec(500, 2, (0,))]
         wl = ManualWorkload({0: 1}, specs)
-        sim = Simulator(g, GreedyScheduler(), wl, max_time=100)
+        sim = Simulator(g, GreedyScheduler(), wl, config=SimConfig(max_time=100))
         trace = sim.run()
         assert len(trace.txns) == 1  # second txn never generated
 
@@ -75,8 +76,9 @@ class TestEngineExtras:
         wl = ManualWorkload(placement, specs)
         sim = Simulator(
             g, GreedyScheduler(), wl,
-            departure_policy=DeparturePolicy.LAZY,
-            node_egress_capacity=1, strict=False,
+            config=SimConfig(
+                departure_policy=DeparturePolicy.LAZY, node_egress_capacity=1, strict=False
+            ),
         )
         trace = sim.run()
         assert len(trace.txns) == 4

@@ -13,6 +13,7 @@ from repro.core import GreedyScheduler
 from repro.core.base import OnlineScheduler
 from repro.errors import GraphError, InfeasibleScheduleError, SchedulingError
 from repro.network import topologies
+from repro.sim.config import SimConfig
 from repro.sim.engine import Simulator
 from repro.sim.trace import CopyLeg, ObjectLeg
 from repro.sim.transactions import TxnSpec
@@ -21,12 +22,12 @@ from repro.testing import fuzz_scheduler, random_instance
 from repro.workloads import ManualWorkload
 
 
-def run_with(scheduler_cls, specs=None, placement=None, **engine_kw):
+def run_with(scheduler_cls, specs=None, placement=None):
     g = topologies.line(8)
     placement = placement if placement is not None else {0: 0}
     specs = specs if specs is not None else [TxnSpec(0, 5, (0,))]
     wl = ManualWorkload(placement, specs)
-    return Simulator(g, scheduler_cls(), wl, **engine_kw).run()
+    return Simulator(g, scheduler_cls(), wl).run()
 
 
 class TestSchedulerContractInjection:
@@ -203,4 +204,4 @@ class TestChaseBudgetInjection:
             ColoringBatchScheduler(), seed=0, max_chase_hops=0
         )
         with pytest.raises(SchedulingError, match="chase budget"):
-            Simulator(g, sched, wl, object_speed_den=2).run()
+            Simulator(g, sched, wl, config=SimConfig(object_speed_den=2)).run()

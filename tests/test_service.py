@@ -15,6 +15,7 @@ import pytest
 from repro._types import TxnState
 from repro.analysis import run_stream, slo_summary, stability_verdict
 from repro.chaos import InvariantMonitor
+from repro.cli import make_scheduler
 from repro.core import (
     AdaptiveScheduler,
     CoordinatedGreedyScheduler,
@@ -277,6 +278,23 @@ class TestDeadlineRace:
         assert [e.tid for e in trace.expiries] == [0]
         assert 1 in trace.txns  # the successor committed
         assert certify_trace(g, trace) == []
+
+    @pytest.mark.parametrize("name", ["greedy", "fifo", "tsp", "windowed"])
+    def test_expiry_keeps_served_read_copies(self, name):
+        # Half the transactions read; expiring writers must not discard
+        # copies already cut for readers, which only follow committed
+        # writers.  Discarding them left a reader without its copy at
+        # its own execution step (InfeasibleScheduleError).
+        g = topologies.grid([4, 4])
+        sched, speed = make_scheduler(name, g)
+        spec = _open_spec(seed=0, lam=3.0, read_fraction=0.5, zipf=0.8)
+        service = ServiceConfig(policy="deadline-edf", deadline=20, deadline_frac=0.5)
+        res = run_stream(
+            g, sched, spec, until=150,
+            config=SimConfig(object_speed_den=speed, service=service),
+        )
+        assert res.trace.expiries
+        assert certify_trace(g, res.trace) == []
 
 
 # ----------------------------------------------------------------------

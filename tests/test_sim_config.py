@@ -1,12 +1,11 @@
 """SimConfig consolidation tests.
 
-The frozen :class:`~repro.sim.config.SimConfig` value object must (a)
-validate knob combinations, (b) merge with explicit keyword arguments
-under the kwargs-win rule, (c) keep every previously-valid ``Simulator``
-keyword call working unchanged, and (d) thread through
-``run_experiment`` / ``replicate`` so congested (hop-motion,
-link-capacity, non-strict) experiments work end-to-end — the gap that
-motivated the consolidation.
+The frozen :class:`~repro.sim.config.SimConfig` value object is the only
+way to configure a run.  It must (a) validate knob combinations, (b)
+derive variants through ``replace``, (c) carry every engine knob into
+the ``Simulator``, and (d) thread through ``run_experiment`` /
+``replicate`` so congested (hop transport, link-capacity, non-strict)
+experiments work end-to-end.
 """
 
 import dataclasses
@@ -37,7 +36,7 @@ def test_defaults_match_simulator_defaults():
     assert cfg.strict is True
     assert cfg.one_txn_per_node is False
     assert cfg.node_egress_capacity is None
-    assert cfg.hop_motion is False
+    assert cfg.transport_kind == "direct"
     assert cfg.link_capacity is None
     assert cfg.max_time is None
     assert cfg.probe is None
@@ -50,8 +49,8 @@ def test_frozen():
 
 
 @pytest.mark.parametrize("bad", [
-    dict(link_capacity=1),                      # requires hop_motion
-    dict(hop_motion=True, link_capacity=0),     # capacity >= 1
+    dict(link_capacity=1),                      # requires transport="hop"
+    dict(transport="hop", link_capacity=0),     # capacity >= 1
     dict(object_speed_den=0),
     dict(object_speed_den=-2),
     dict(node_egress_capacity=0),               # capacity >= 1
@@ -74,25 +73,15 @@ def test_validation_messages_name_the_value():
 
 
 def test_validate_is_public_and_idempotent():
-    cfg = SimConfig(hop_motion=True, link_capacity=2, max_time=100)
+    cfg = SimConfig(transport="hop", link_capacity=2, max_time=100)
     cfg.validate()  # explicit re-check of a valid config is a no-op
     from repro.faults import FaultPlan
     SimConfig(faults=FaultPlan(drop_prob=0.1)).validate()
 
 
-def test_with_overrides_kwargs_win_and_none_ignored():
-    cfg = SimConfig(object_speed_den=2, strict=False)
-    merged = cfg.with_overrides(object_speed_den=3, strict=None, max_time=None)
-    assert merged.object_speed_den == 3   # explicit value wins
-    assert merged.strict is False         # None override leaves config value
-    assert merged.max_time is None
-    assert cfg.object_speed_den == 2      # original untouched
-    assert cfg.with_overrides() is cfg    # no changes: same object
-
-
 def test_replace():
-    cfg = SimConfig().replace(hop_motion=True, link_capacity=2)
-    assert cfg.hop_motion and cfg.link_capacity == 2
+    cfg = SimConfig().replace(transport="hop", link_capacity=2)
+    assert cfg.transport_kind == "hop" and cfg.link_capacity == 2
 
 
 # -- Simulator integration ----------------------------------------------
@@ -107,34 +96,48 @@ def test_simulator_accepts_config_object():
 
 
 def test_simulator_kwargs_win_over_config():
+    """``replace`` keywords beat the fields of the config they copy."""
     g, wl = _setup()
     cfg = SimConfig(object_speed_den=2, strict=False)
-    sim = Simulator(g, GreedyScheduler(), wl, config=cfg, object_speed_den=3)
-    assert sim.object_speed_den == 3      # kwarg beats config field
+    sim = Simulator(g, GreedyScheduler(), wl, config=cfg.replace(object_speed_den=3))
+    assert sim.object_speed_den == 3      # replaced field wins
     assert sim.strict is False            # untouched field survives
     assert sim.config.object_speed_den == 3
+    assert cfg.object_speed_den == 2      # original untouched
+
+
+def test_engine_knobs_only_through_config():
+    """The pre-SimConfig keyword spellings are gone from both entry points."""
+    g, wl = _setup()
+    with pytest.raises(TypeError):
+        Simulator(g, GreedyScheduler(), wl, object_speed_den=2)
+    with pytest.raises(TypeError):
+        run_experiment(g, GreedyScheduler(), wl, probe=CountersProbe())
 
 
 def test_all_legacy_simulator_kwargs_still_accepted():
-    """Every previously-valid keyword call passes unchanged (acceptance)."""
+    """Every knob the ``Simulator`` once took as a keyword is a
+    ``SimConfig`` field, and the engine honours it from there."""
     g, wl = _setup()
     sim = Simulator(
         g, GreedyScheduler(), wl,
-        departure_policy=DeparturePolicy.LAZY,
-        object_speed_den=2,
-        strict=False,
-        one_txn_per_node=False,
-        node_egress_capacity=4,
-        hop_motion=True,
-        link_capacity=3,
-        max_time=500,
+        config=SimConfig(
+            departure_policy=DeparturePolicy.LAZY,
+            object_speed_den=2,
+            strict=False,
+            one_txn_per_node=False,
+            node_egress_capacity=4,
+            transport="hop",
+            link_capacity=3,
+            max_time=500,
+        ),
     )
     cfg = sim.config
     assert cfg.departure_policy is DeparturePolicy.LAZY
     assert cfg.object_speed_den == 2
     assert cfg.strict is False
     assert cfg.node_egress_capacity == 4
-    assert cfg.hop_motion and cfg.link_capacity == 3
+    assert cfg.transport_kind == "hop" and cfg.link_capacity == 3
     assert cfg.max_time == 500
     sim.run()  # and it still runs
 
@@ -142,7 +145,8 @@ def test_all_legacy_simulator_kwargs_still_accepted():
 def test_simulator_config_same_trace_as_kwargs():
     g, wl1 = _setup(seed=3)
     _, wl2 = _setup(seed=3)
-    t1 = Simulator(g, GreedyScheduler(), wl1, object_speed_den=2).run()
+    t1 = Simulator(g, GreedyScheduler(), wl1,
+                   config=SimConfig().replace(object_speed_den=2)).run()
     t2 = Simulator(g, GreedyScheduler(), wl2,
                    config=SimConfig(object_speed_den=2)).run()
     assert t1.end_time == t2.end_time
@@ -165,21 +169,11 @@ def test_run_experiment_congested_config_end_to_end():
     wl = BatchWorkload.uniform(g, num_objects=6, k=2, seed=0)
     res = run_experiment(
         g, GreedyScheduler(), wl,
-        config=SimConfig(hop_motion=True, link_capacity=1, strict=False),
+        config=SimConfig(transport="hop", link_capacity=1, strict=False),
     )
     assert res.makespan > 0
     assert res.metrics.num_txns == len(res.trace.txns) > 0
     assert res.deadline_misses >= 0  # deferral accounting exposed
-
-
-def test_run_experiment_kwargs_still_win_over_config():
-    g, wl = _setup()
-    with pytest.warns(DeprecationWarning, match="object_speed_den"):
-        res = run_experiment(
-            g, GreedyScheduler(), wl,
-            config=SimConfig(object_speed_den=3), object_speed_den=1,
-        )
-    assert res.trace.object_speed_den == 1
 
 
 def test_replicate_threads_config():

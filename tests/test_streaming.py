@@ -14,7 +14,6 @@ from repro.analysis import (
     stability_verdict,
     throughput,
 )
-from repro import DeparturePolicy
 from repro.baselines import FifoSerialScheduler
 from repro.chaos.search import EpisodeSpec, make_workload, run_episode
 from repro.core import GreedyScheduler
@@ -296,22 +295,6 @@ class TestApiRedesign:
             run_stream(
                 g, GreedyScheduler(), WorkloadSpec.make("batch"), until=100
             )
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"object_speed_den": 2},
-            {"departure_policy": DeparturePolicy.LAZY},
-            {"probe": CountersProbe()},
-        ],
-        ids=["object_speed_den", "departure_policy", "probe"],
-    )
-    def test_shorthand_kwargs_warn(self, kwargs):
-        g = topologies.clique(6)
-        wl = BatchWorkload.uniform(g, 5, 2, seed=0)
-        name = next(iter(kwargs))
-        with pytest.warns(DeprecationWarning, match=name):
-            run_experiment(g, GreedyScheduler(), wl, **kwargs)
 
     def test_replicate_reseeds_workload_spec(self):
         from repro.analysis import replicate

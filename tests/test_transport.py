@@ -5,17 +5,20 @@ Pillars:
 * **Byte-identity** — ``DirectTransport`` (explicitly selected) matches
   the default-config goldens; the hop-motion and link-capacity goldens
   pin the congestion transports against the pre-refactor engine.
-* **Legacy mapping** — ``hop_motion=True`` and ``transport="hop"`` (and a
-  bare ``HopTransport()`` instance) are the same simulator.
+* **Legacy mapping** — the CLI's ``--hop-motion`` flag (mapped by
+  ``cli.make_config``), ``transport="hop"`` and a bare ``HopTransport()``
+  instance are the same simulator.
 * **Composition** — capacity knobs wrap the selected base transport in
   decorators, validated against bad combinations.
 """
 
+import argparse
 import json
 import os
 
 import pytest
 
+from repro.cli import make_config
 from repro.core import BucketScheduler, GreedyScheduler
 from repro.errors import WorkloadError
 from repro.network import topologies
@@ -42,6 +45,12 @@ def _dumps(trace):
 def _golden(name):
     with open(os.path.join(DATA, name)) as fh:
         return fh.read()
+
+
+def _cli_config(**flags):
+    """``cli.make_config`` for a command line carrying only ``flags``."""
+    args = argparse.Namespace(object_speed=1, **flags)
+    return make_config(args, speed=1)
 
 
 def _default_cases():
@@ -100,7 +109,7 @@ def test_link_capacity_byte_identical_to_golden():
 
 
 def test_legacy_hop_motion_equals_transport_string():
-    a, _ = _hop_sim(SimConfig(hop_motion=True))
+    a, _ = _hop_sim(_cli_config(hop_motion=True))
     b, _ = _hop_sim(SimConfig(transport="hop"))
     assert _dumps(a.run()) == _dumps(b.run())
 
@@ -113,8 +122,7 @@ def test_transport_instance_equals_string():
 
 def test_transport_kwarg_on_simulator():
     g = topologies.line(4)
-    sim = Simulator(g, GreedyScheduler(), transport="hop")
-    assert sim.hop_motion is True
+    sim = Simulator(g, GreedyScheduler(), config=SimConfig(transport="hop"))
     assert sim.config.transport_kind == "hop"
     assert isinstance(sim.transport, HopTransport)
 
@@ -125,7 +133,7 @@ class TestBuildAndCompose:
         assert isinstance(t, DirectTransport) and t.kind == "direct"
 
     def test_legacy_flag_selects_hop(self):
-        t = build_transport(SimConfig(hop_motion=True))
+        t = build_transport(_cli_config(hop_motion=True))
         assert isinstance(t, HopTransport) and t.kind == "hop"
 
     def test_capacity_decorators_wrap_outermost_egress(self):
@@ -180,8 +188,8 @@ class TestValidation:
             SimConfig(transport="direct", link_capacity=1)
 
     def test_direct_conflicts_with_hop_motion(self):
-        with pytest.raises(WorkloadError):
-            SimConfig(transport="direct", hop_motion=True)
+        with pytest.raises(SystemExit, match="conflicts with --hop-motion"):
+            _cli_config(transport="direct", hop_motion=True)
 
     def test_capacities_must_be_positive(self):
         with pytest.raises(WorkloadError):
@@ -190,5 +198,5 @@ class TestValidation:
             SimConfig(transport="hop", link_capacity=0)
 
     def test_hop_string_with_legacy_flag_is_consistent(self):
-        cfg = SimConfig(transport="hop", hop_motion=True)
+        cfg = _cli_config(transport="hop", hop_motion=True)
         assert cfg.transport_kind == "hop"
