@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-import networkx as nx
-
 from repro._types import NodeId
 from repro.network.convert import to_networkx
 from repro.network.graph import Graph
@@ -28,6 +26,8 @@ def _key(u: NodeId, v: NodeId) -> EdgeKey:
 
 def edge_betweenness(graph: Graph) -> Dict[EdgeKey, float]:
     """Weighted edge betweenness centrality of every edge."""
+    import networkx as nx
+
     nxg = to_networkx(graph)
     raw = nx.edge_betweenness_centrality(nxg, weight="weight")
     return {_key(u, v): c for (u, v), c in raw.items()}

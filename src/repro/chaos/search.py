@@ -74,10 +74,9 @@ DEFAULT_SCHEDULERS = (
 class EpisodeSpec:
     """Everything needed to re-run one episode bit-for-bit.
 
-    ``workload`` is either a frozen :class:`~repro.workloads.spec.
-    WorkloadSpec` or the legacy parameter dict ``{"kind", "objects",
-    "k", "seed", ...}`` understood by :func:`make_workload`.  ``planted``
-    is the test-only violation hook passed through to the monitor.
+    ``workload`` is a frozen :class:`~repro.workloads.spec.WorkloadSpec`.
+    ``planted`` is the test-only violation hook passed through to the
+    monitor.
 
     ``lambda_mult`` scales the workload's arrival rate (2.0 = twice the
     drawn traffic — the overload regime); ``deadline_frac`` > 0 enables
@@ -89,7 +88,7 @@ class EpisodeSpec:
 
     topology: str
     scheduler: str
-    workload: object
+    workload: WorkloadSpec
     plan: FaultPlan
     stall_k: int = 512
     monitor: bool = True
@@ -98,15 +97,10 @@ class EpisodeSpec:
     deadline_frac: float = 0.0
 
     def to_dict(self) -> Dict[str, object]:
-        workload = (
-            {"spec": self.workload.to_dict()}
-            if isinstance(self.workload, WorkloadSpec)
-            else dict(self.workload)
-        )
         out: Dict[str, object] = {
             "topology": self.topology,
             "scheduler": self.scheduler,
-            "workload": workload,
+            "workload": {"spec": self.workload.to_dict()},
             "plan": self.plan.to_dict(),
             "stall_k": self.stall_k,
             "monitor": self.monitor,
@@ -132,13 +126,15 @@ class EpisodeSpec:
             if "edge" in planted:
                 planted["edge"] = tuple(planted["edge"])
         raw = dict(data["workload"])
-        workload = (
-            WorkloadSpec.from_dict(raw["spec"]) if set(raw) == {"spec"} else raw
-        )
+        if set(raw) != {"spec"}:
+            raise ReproError(
+                f"episode workload must be a WorkloadSpec ({{'spec': ...}}), "
+                f"got the legacy parameter dict {raw!r}"
+            )
         return cls(
             topology=data["topology"],
             scheduler=data["scheduler"],
-            workload=workload,
+            workload=WorkloadSpec.from_dict(raw["spec"]),
             plan=FaultPlan.from_dict(data["plan"]),
             stall_k=data.get("stall_k", 512),
             monitor=data.get("monitor", True),
@@ -207,59 +203,30 @@ class EpisodeResult:
         )
 
 
-def make_workload(graph, params):
-    """Build the episode workload from its description.
-
-    ``params`` is a :class:`~repro.workloads.spec.WorkloadSpec` (built
-    directly) or the legacy parameter dict whose ``kind`` is ``"batch"``
-    (all transactions at t=0) or ``"bernoulli"`` (per-node coin flips
-    over ``horizon`` steps at ``rate``).
-    """
-    from repro.workloads import BatchWorkload, OnlineWorkload
-
-    if isinstance(params, WorkloadSpec):
-        return params.build(graph)
-    kind = params.get("kind", "batch")
-    objects = int(params.get("objects", 6))
-    k = int(params.get("k", 2))
-    seed = int(params.get("seed", 0))
-    if kind == "batch":
-        return BatchWorkload.uniform(graph, objects, k, seed=seed)
-    if kind == "bernoulli":
-        rate = float(params.get("rate", 1.0 / graph.num_nodes))
-        horizon = int(params.get("horizon", 50))
-        return OnlineWorkload.bernoulli(
-            graph, objects, k, rate=rate, horizon=horizon, seed=seed
+def make_workload(graph, spec: WorkloadSpec):
+    """Build the episode workload from its :class:`~repro.workloads.spec.
+    WorkloadSpec`."""
+    if not isinstance(spec, WorkloadSpec):
+        raise ReproError(
+            f"episode workload must be a WorkloadSpec, got {type(spec).__name__}"
         )
-    raise ReproError(f"unknown chaos workload kind {params.get('kind')!r}")
+    return spec.build(graph)
 
 
 #: base value of each arrival-rate knob when the spec leaves it default
 _RATE_DEFAULTS = {"lam": 0.5, "lam_on": 1.0, "rate": 0.5}
 
 
-def _scale_rate(workload, mult: float, graph):
+def _scale_rate(workload: WorkloadSpec, mult: float) -> WorkloadSpec:
     """The episode workload with its arrival rate scaled by ``mult``."""
-    if isinstance(workload, WorkloadSpec):
-        if workload.kind == "bernoulli":
-            knob, default = "rate", 0.05
-        else:
-            from repro.analysis.frontier import rate_knob
+    if workload.kind == "bernoulli":
+        knob, default = "rate", 0.05
+    else:
+        from repro.analysis.frontier import rate_knob
 
-            knob = rate_knob(workload.kind)
-            default = _RATE_DEFAULTS[knob]
-        return workload.with_knobs(
-            **{knob: float(workload.knob(knob, default)) * mult}
-        )
-    params = dict(workload)
-    if params.get("kind", "batch") != "bernoulli":
-        raise ReproError(
-            "lambda_mult needs an arrival-rate workload "
-            f"(got legacy kind {params.get('kind', 'batch')!r})"
-        )
-    base = float(params.get("rate", 1.0 / graph.num_nodes))
-    params["rate"] = base * mult
-    return params
+        knob = rate_knob(workload.kind)
+        default = _RATE_DEFAULTS[knob]
+    return workload.with_knobs(**{knob: float(workload.knob(knob, default)) * mult})
 
 
 def _violation_dict(exc: InvariantViolation) -> Dict[str, object]:
@@ -301,7 +268,7 @@ def run_episode(spec: EpisodeSpec) -> EpisodeResult:
     scheduler, speed = make_scheduler(spec.scheduler, graph)
     workload_params = spec.workload
     if spec.lambda_mult != 1.0:
-        workload_params = _scale_rate(workload_params, spec.lambda_mult, graph)
+        workload_params = _scale_rate(workload_params, spec.lambda_mult)
     workload = make_workload(graph, workload_params)
     probe = (
         InvariantMonitor(stall_k=spec.stall_k, planted=spec.planted)
@@ -312,17 +279,12 @@ def run_episode(spec: EpisodeSpec) -> EpisodeResult:
     if spec.deadline_frac > 0.0:
         from repro.service import ServiceConfig
 
-        if isinstance(workload_params, WorkloadSpec):
-            wl_seed = workload_params.seed
-            horizon = int(workload_params.knob("horizon", 64))
-        else:
-            wl_seed = int(workload_params.get("seed", 0))
-            horizon = int(workload_params.get("horizon", 64))
+        horizon = int(workload_params.knob("horizon", 64))
         service = ServiceConfig(
             policy="fifo",
             deadline=max(4, horizon // 4),
             deadline_frac=spec.deadline_frac,
-            seed=wl_seed,
+            seed=workload_params.seed,
         )
     config = SimConfig(
         faults=spec.plan, probe=probe, object_speed_den=speed, service=service
@@ -441,14 +403,10 @@ def episode_spec(
         leave_count=leaves,
         edges=[(u, v) for u, v, _ in graph.edges()],
     )
-    workload: Dict[str, object] = {
-        "kind": workload_kind,
-        "objects": objects,
-        "k": k,
-        "seed": ep_seed,
-    }
+    knobs: Dict[str, object] = {"objects": objects, "k": k}
     if workload_kind == "bernoulli":
-        workload["horizon"] = horizon
+        knobs.update(rate=1.0 / graph.num_nodes, horizon=horizon)
+    workload = WorkloadSpec.make(workload_kind, seed=ep_seed, **knobs)
     return EpisodeSpec(
         topology=topology,
         scheduler=schedulers[index % len(schedulers)],

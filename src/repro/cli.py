@@ -23,6 +23,7 @@ import sys
 import time
 from typing import Optional, Tuple
 
+from repro import durability
 from repro._types import DeparturePolicy
 from repro.analysis import render_table, run_experiment
 from repro.baselines import FifoSerialScheduler, TspTourScheduler
@@ -1292,6 +1293,10 @@ def main(argv: Optional[list] = None) -> int:
     from repro.errors import RunInterrupted
 
     args = build_parser().parse_args(argv)
+    # With --checkpoint, a SIGTERM/SIGINT from here on (even while the
+    # workload is still being built) ends the run at its next step
+    # boundary with a checkpoint and exit 3.
+    guard = durability.catch_interrupts() if getattr(args, "checkpoint", None) else []
     try:
         return args.func(args)
     except RunInterrupted as exc:
@@ -1306,6 +1311,8 @@ def main(argv: Optional[list] = None) -> int:
     except (ReproError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        durability.restore_handlers(guard)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -78,13 +78,6 @@ class CoordinatedGreedyScheduler(OnlineScheduler):
 
     def has_pending(self) -> bool:
         # In-flight requests keep the engine alive via the router already;
-        # report pending while any live transaction is unscheduled.  The
-        # pending index maintains exactly that set, O(1) per run-loop
-        # iteration instead of scanning the live table.
-        sim = self.sim
-        if sim is None:
-            return False
-        index = getattr(sim, "pending", None)
-        if index is not None:
-            return index.has_unscheduled
-        return any(x.exec_time is None for x in sim.live.values())
+        # report pending while any live transaction is unscheduled (the
+        # live-set index keeps that set: O(1) per run-loop iteration).
+        return self.sim.deps.has_unscheduled

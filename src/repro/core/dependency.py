@@ -13,17 +13,19 @@ The scheduler hot path only needs, for one transaction, its constraint list
 checks measured latencies against the Theorem 1 bound ``2*Gamma' - Delta'``
 node by node.
 
-Since the huge-topology refactor, ``H_t``'s conflict adjacency is
-**delta-maintained** by a :class:`DependencyTracker` the engine attaches at
-construction (``sim.deps``): edges are discovered once per transaction at
-generation time and dropped at commit, so :func:`constraints_for` costs
-O(degree) instead of re-scanning live accessor sets and materialising an
-O(n) distance row per call.  Holder (``Z_t``) constraints stay query-time —
-object positions change every step — but each is a single O(1) oracle
-distance lookup on structured topologies.  The original full-scan path is
-kept as :func:`_constraints_scan` and the full rebuild as
-:func:`build_extended_dependency_graph`; differential tests pin the tracker
-to both (see ``tests/test_dependency.py``).
+The engine keeps ``H_t`` in one structure, the :class:`DependencyTracker`
+it attaches at construction (``sim.deps``).  It is the engine's only
+live-set index: the conflict adjacency (edges discovered once per
+transaction at generation and dropped at retirement, so
+:func:`constraints_for` costs O(degree) instead of re-scanning live
+accessor sets), the per-object live writer/reader sets, the scheduled
+waiters per object, the unscheduled set, and a within-step constraint
+memo.  Holder (``Z_t``) constraints stay query-time — object positions
+change every step — but each is a single O(1) oracle distance lookup on
+structured topologies.  The original full-scan path is kept as
+:func:`_constraints_scan` and the full rebuild as
+:func:`build_extended_dependency_graph`; differential tests pin the
+tracker to both (see ``tests/test_dependency.py``).
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Set, Tuple
 
-from repro._types import ObjectId, Time, TxnId, Weight
+from repro._types import NodeId, ObjectId, Time, TxnId, Weight
 from repro.core.coloring import Constraint
 from repro.sim.engine import Simulator
 from repro.sim.transactions import Transaction
@@ -69,16 +71,13 @@ def constraints_for(sim: Simulator, txn: Transaction, *, now: Time) -> List[Cons
     weights are distances in ``G`` (travel-time bounds for holders, which
     also covers the half-speed object mode).
 
-    Dispatches to the engine-maintained :class:`DependencyTracker` when one
-    is attached (``sim.deps``, the default); state views and hand-rolled
-    simulators without one fall back to the full scan.  Both paths return
-    the same constraint multiset — :func:`repro.core.coloring.
-    min_valid_color` sorts internally, so list order is immaterial.
+    Answered by the engine's :class:`DependencyTracker` (``sim.deps``) in
+    O(degree); :func:`_constraints_scan` is the full-scan reference it is
+    tested against.  Both return the same constraint multiset —
+    :func:`repro.core.coloring.min_valid_color` sorts internally, so list
+    order is immaterial.
     """
-    deps = getattr(sim, "deps", None)
-    if deps is not None:
-        return deps.constraints_for(txn, now=now)
-    return _constraints_scan(sim, txn, now=now)
+    return sim.deps.constraints_for(txn, now=now)
 
 
 def _constraints_scan(sim: Simulator, txn: Transaction, *, now: Time) -> List[Constraint]:
@@ -210,37 +209,73 @@ def build_extended_dependency_graph(sim: Simulator, *, now: Time) -> ExtendedDep
 
 
 class DependencyTracker:
-    """Delta-maintained conflict adjacency of ``H_t`` (``sim.deps``).
+    """The engine's live-set index (``sim.deps``): ``H_t`` plus the
+    per-object views the schedulers query.
 
-    The engine calls :meth:`on_generate` when a transaction enters the
-    system and :meth:`on_commit` when it leaves; between those two moments
-    the transaction's conflict neighbourhood is static (object sets never
-    change after generation, homes never move, reschedules only revise
-    execution times), so each edge is discovered exactly once.  ``adj``
-    stores *raw* graph distances between home nodes; the object-speed
-    scaling is applied at query time, matching the scan path.
+    One structure, fed by one call per engine lifecycle site
+    (:meth:`add_object`, :meth:`on_generate`, :meth:`on_schedule`,
+    :meth:`on_unschedule`, :meth:`refresh_home`, :meth:`on_retire`).
+    Invariants after every engine phase:
 
-    Holder (``Z_t``) constraints are deliberately *not* cached: object
-    positions change every step, and recomputing them per query is O(#
-    objects of one transaction) with O(1) distance lookups on
-    oracle-backed topologies.
+    * ``adj`` — the conflict adjacency of ``H_t``, symmetric, storing
+      *raw* home distances (object-speed scaling is applied at query
+      time, matching the scan path).  A transaction's neighbourhood is
+      static between generation and retirement (object sets never
+      change, homes move only on an elastic leave — :meth:`refresh_home`
+      — and reschedules only revise execution times), so each edge is
+      discovered exactly once.
+    * ``writers[i]`` / ``readers[i]`` — the live tids writing / reading
+      the object at dense index ``i`` (``obj_ids[i]``).
+    * ``sched_writers[i]`` / ``sched_readers[i]`` — the subset of those
+      with an execution time, ``tid -> txn``.  These answer
+      :class:`repro.offline.base.SimStateView` in O(scheduled waiters).
+    * ``unscheduled`` — the live transactions without an execution
+      time (O(1) :attr:`has_unscheduled`).
+
+    :meth:`constraints` memoises :meth:`constraints_for` within a step,
+    dropping an entry when a same-step (un)scheduling touches one of the
+    transaction's conflict neighbours.  Holder (``Z_t``) constraints are
+    never cached across steps: object positions change every step, and
+    recomputing them is O(# objects of one transaction) with O(1)
+    distance lookups on oracle-backed topologies.
     """
 
     def __init__(self, sim: Simulator) -> None:
         self.sim = sim
         #: tid -> {conflicting live tid -> unscaled home distance}
         self.adj: Dict[TxnId, Dict[TxnId, Weight]] = {}
+        #: dense object index -> object id (the engine interns objects here)
+        self.obj_ids: List[ObjectId] = []
+        self.writers: List[Set[TxnId]] = []
+        self.readers: List[Set[TxnId]] = []
+        self.sched_writers: List[Dict[TxnId, Transaction]] = []
+        self.sched_readers: List[Dict[TxnId, Transaction]] = []
+        self.unscheduled: Dict[TxnId, Transaction] = {}
+        #: within-step constraints_for memo: valid only while now == _memo_t
+        self._memo: Dict[TxnId, List[Constraint]] = {}
+        self._memo_t: Time = -1
+        #: memo entries invalidated by a same-step scheduling change
+        self._stale: Set[TxnId] = set()
 
     # -- engine lifecycle hooks ---------------------------------------
+    def add_object(self, oid: ObjectId) -> int:
+        """Intern ``oid``; returns its dense column index."""
+        self.obj_ids.append(oid)
+        self.writers.append(set())
+        self.readers.append(set())
+        self.sched_writers.append({})
+        self.sched_readers.append({})
+        return len(self.obj_ids) - 1
+
     def on_generate(self, txn: Transaction) -> None:
-        """Discover ``txn``'s conflict edges against the live set."""
+        """``txn`` entered the live set: discover its conflict edges."""
         sim = self.sim
         g = sim.graph
         txns = sim.txns
         home = txn.home
         objects = sim.objects
-        writers = sim._live_writers_col
-        readers = sim._live_readers_col
+        writers = self.writers
+        readers = self.readers
         mine: Dict[TxnId, Weight] = {}
         # Write-write and write-read pairs conflict; read-read pairs share
         # copies and do not (same rule as the scan path).
@@ -260,6 +295,31 @@ class DependencyTracker:
         adj = self.adj
         for tid, d in mine.items():
             adj[tid][txn.tid] = d
+        self.unscheduled[txn.tid] = txn
+        for oid in txn.objects:
+            writers[objects[oid].index].add(txn.tid)
+        for oid in txn.reads:
+            readers[objects[oid].index].add(txn.tid)
+
+    def on_schedule(self, txn: Transaction) -> None:
+        """``commit_schedule`` fixed ``txn``'s execution time."""
+        tid = txn.tid
+        del self.unscheduled[tid]
+        objects = self.sim.objects
+        for oid in txn.objects:
+            self.sched_writers[objects[oid].index][tid] = txn
+        for oid in txn.reads:
+            self.sched_readers[objects[oid].index][tid] = txn
+        # Pending conflict neighbours gained a constraint.
+        self._stale.update(self.adj[tid])
+
+    def on_unschedule(self, txn: Transaction) -> None:
+        """Recovery revoked ``txn``'s execution time (fault layer)."""
+        tid = txn.tid
+        self.unscheduled[tid] = txn
+        self._drop_scheduled(txn)
+        self._stale.add(tid)
+        self._stale.update(self.adj[tid])
 
     def refresh_home(self, txn: Transaction) -> None:
         """Recompute ``txn``'s edge weights after its home moved.
@@ -268,9 +328,7 @@ class DependencyTracker:
         transaction's home (an abrupt leave re-homes its transactions to
         the nearest member); the cached adjacency stores home distances,
         so both directions of every incident edge are re-measured."""
-        nbrs = self.adj.get(txn.tid)
-        if not nbrs:
-            return
+        nbrs = self.adj[txn.tid]
         g = self.sim.graph
         txns = self.sim.txns
         home = txn.home
@@ -280,21 +338,62 @@ class DependencyTracker:
             nbrs[tid] = d
             adj[tid][txn.tid] = d
 
-    def on_commit(self, txn: Transaction) -> None:
-        """Drop ``txn`` and its incident edges from the adjacency.
+    def on_retire(self, txn: Transaction) -> None:
+        """``txn`` left the live set (commit or deadline expiry): drop it
+        and its incident edges from every view."""
+        tid = txn.tid
+        adj = self.adj
+        for other in adj.pop(tid):
+            del adj[other][tid]
+        self.unscheduled.pop(tid, None)
+        self._drop_scheduled(txn)
+        objects = self.sim.objects
+        for oid in txn.objects:
+            self.writers[objects[oid].index].discard(tid)
+        for oid in txn.reads:
+            self.readers[objects[oid].index].discard(tid)
 
-        Called for commits *and* deadline expiries — either way the
-        transaction leaves the live set and its queue slots release.
-        """
-        nbrs = self.adj.pop(txn.tid, None)
-        if nbrs:
-            adj = self.adj
-            for tid in nbrs:
-                other = adj.get(tid)
-                if other is not None:
-                    other.pop(txn.tid, None)
+    def _drop_scheduled(self, txn: Transaction) -> None:
+        tid = txn.tid
+        objects = self.sim.objects
+        for oid in txn.objects:
+            self.sched_writers[objects[oid].index].pop(tid, None)
+        for oid in txn.reads:
+            self.sched_readers[objects[oid].index].pop(tid, None)
 
     # -- queries ------------------------------------------------------
+    @property
+    def has_unscheduled(self) -> bool:
+        return bool(self.unscheduled)
+
+    def scheduled_pairs(
+        self, oid: ObjectId, now: Time, *, reads: bool = False
+    ) -> List[Tuple[Time, NodeId]]:
+        """``(remaining_time, home)`` of the scheduled waiting writers (or
+        readers) of ``oid`` — :class:`~repro.offline.base.SimStateView`'s
+        query shape."""
+        obj = self.sim.objects.get(oid)
+        if obj is None:
+            return []
+        column = self.sched_readers if reads else self.sched_writers
+        return [(txn.exec_time - now, txn.home) for txn in column[obj.index].values()]
+
+    def constraints(self, txn: Transaction, *, now: Time) -> List[Constraint]:
+        """Memoised :meth:`constraints_for`: at most one recomputation per
+        transaction per step unless a same-step scheduling decision
+        touched one of its conflict neighbours."""
+        if now != self._memo_t:
+            self._memo.clear()
+            self._stale.clear()
+            self._memo_t = now
+        tid = txn.tid
+        cons = self._memo.get(tid)
+        if cons is None or tid in self._stale:
+            cons = self.constraints_for(txn, now=now)
+            self._memo[tid] = cons
+            self._stale.discard(tid)
+        return cons
+
     def constraints_for(self, txn: Transaction, *, now: Time) -> List[Constraint]:
         """O(degree) constraint list; same multiset as the full scan."""
         sim = self.sim
@@ -345,9 +444,9 @@ class DependencyTracker:
                     h._add_edge(("txn", tid), ("txn", other), speed * d)
         g = sim.graph
         txns = sim.txns
-        obj_ids = sim._obj_ids
-        writers = sim._live_writers_col
-        readers = sim._live_readers_col
+        obj_ids = self.obj_ids
+        writers = self.writers
+        readers = self.readers
         touched = {obj_ids[idx] for idx, tids in enumerate(writers) if tids}
         touched.update(obj_ids[idx] for idx, tids in enumerate(readers) if tids)
         for oid in touched:

@@ -22,7 +22,6 @@ from typing import List, Optional
 from repro._types import Time, Weight
 from repro.core.base import OnlineScheduler
 from repro.core.coloring import min_valid_color, min_valid_color_multiple
-from repro.core.dependency import constraints_for
 from repro.sim.transactions import Transaction
 
 
@@ -73,23 +72,14 @@ class GreedyScheduler(OnlineScheduler):
         if not new_txns:
             return
         sim = self.sim
-        index = getattr(sim, "pending", None)
-        if index is not None:
-            # Each constraint set is computed once into the shared
-            # within-step memo; the degree ordering's sort key fills it
-            # and the coloring loop below reuses it.  The memo
-            # re-derives an entry only when a same-step scheduling
-            # decision touched one of the transaction's conflict
-            # neighbours — any live holder of a shared object is such a
-            # neighbour, so the recomputed set equals what a fresh
-            # full evaluation would return.
-            fetch = index.constraints
-        else:
-            # State views / hand-rolled simulators without the index:
-            # plain per-call evaluation (the original behaviour).
-            def fetch(txn, *, now):
-                return constraints_for(sim, txn, now=now)
-
+        # Each constraint set is computed once into the live-set index's
+        # within-step memo; the degree ordering's sort key fills it and
+        # the coloring loop below reuses it.  The memo re-derives an
+        # entry only when a same-step scheduling decision touched one of
+        # the transaction's conflict neighbours — any live holder of a
+        # shared object is such a neighbour, so the recomputed set equals
+        # what a fresh full evaluation would return.
+        fetch = sim.deps.constraints
         txns = list(new_txns)
         if self.order == "degree":
             txns.sort(key=lambda x: (len(fetch(x, now=t)), x.tid))

@@ -67,10 +67,6 @@ class SparseCover:
     def num_layers(self) -> int:
         return len(self.layers)
 
-    def sublayer_count(self, layer: int) -> int:
-        """Number of sub-layers (partitions) at ``layer``."""
-        return len(self.layers[layer])
-
     @property
     def max_sublayers(self) -> int:
         """The paper's ``H2``."""
@@ -92,10 +88,6 @@ class SparseCover:
             if self.pad_of_layer(layer) >= radius:
                 return layer
         return self.num_layers - 1
-
-    def all_clusters(self) -> List[Cluster]:
-        """Every cluster across all layers and sub-layers."""
-        return [c for subs in self.layers for part in subs for c in part]
 
     # ------------------------------------------------------------------
     def verify(self) -> List[str]:

@@ -23,7 +23,11 @@ so a crash *during* checkpointing never corrupts the previous snapshot.
 Periodic writes are driven by ``SimConfig.checkpoint_every``; SIGTERM/
 SIGINT during a run with ``checkpoint_path`` set triggers a final write
 plus probe fsync before the run raises
-:class:`~repro.errors.RunInterrupted`.
+:class:`~repro.errors.RunInterrupted`.  The handler
+(:func:`catch_interrupts`) only records the signal in :data:`interrupted`;
+the run loop acts on it at the next step boundary.  The CLI installs it
+as soon as its arguments are parsed, so a signal that lands while the
+workload is still being built is honoured too.
 
 Serializing the payload is O(run history) — late in a long run one
 snapshot costs hundreds of milliseconds — so periodic writes can also
@@ -44,7 +48,7 @@ import io
 import json
 import os
 import pickle
-from typing import Any, Dict
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import CheckpointError
 
@@ -57,7 +61,46 @@ __all__ = [
     "inspect_checkpoint",
     "resolve_checkpoint_path",
     "close_probes",
+    "catch_interrupts",
+    "restore_handlers",
 ]
+
+#: signal number caught by the :func:`catch_interrupts` handler and not
+#: yet turned into a checkpoint by a run loop (None: nothing pending).
+#: Module-level because signal handlers are per process.
+interrupted: Optional[int] = None
+
+
+def _on_signal(signum, frame) -> None:
+    global interrupted
+    interrupted = signum
+
+
+def catch_interrupts() -> List[Tuple[int, Any]]:
+    """Route SIGTERM/SIGINT to :data:`interrupted`; returns the previous
+    handlers for :func:`restore_handlers`.  Off the main thread signals
+    cannot be caught and the run goes unguarded (empty list)."""
+    import signal
+
+    previous = []
+    for sig in (signal.SIGTERM, signal.SIGINT):
+        try:
+            previous.append((sig, signal.signal(sig, _on_signal)))
+        except ValueError:
+            break
+    return previous
+
+
+def restore_handlers(previous: List[Tuple[int, Any]]) -> None:
+    """Undo :func:`catch_interrupts`; a signal no run loop consumed is
+    dropped with the guard."""
+    global interrupted
+    import signal
+
+    for sig, handler in previous:
+        signal.signal(sig, handler)
+    interrupted = None
+
 
 CHECKPOINT_SCHEMA = "repro.checkpoint/1"
 

@@ -790,10 +790,6 @@ class FaultInjector:
         self.departed[node] = t
         self._member_cut = self._member_cut | normalize_cut(edges)
 
-    def node_departed(self, node: NodeId) -> bool:
-        """Has ``node`` permanently left the membership?"""
-        return node in self.departed
-
     def routing_cut(self, t: Time) -> frozenset:
         """Edges an object leg must avoid at ``t``: the partition cut
         active at ``t`` plus every departed member's incident edges."""
@@ -841,7 +837,3 @@ class FaultInjector:
         """
         base, cap = self.plan.backoff_base, self.plan.backoff_cap
         return min(cap, base << min(n - 1, BACKOFF_SHIFT_CAP))
-
-    @property
-    def total_reschedules(self) -> int:
-        return sum(self.reschedule_counts.values())

@@ -4,17 +4,20 @@ Downstream users often already have their datacenter/NoC topology as a
 ``networkx`` graph; :func:`from_networkx` adopts it (relabelling nodes to
 ``0..n-1``), and :func:`to_networkx` exports ours so the whole networkx
 toolbox (centrality, drawing, generators) applies to scheduling studies.
+networkx is imported inside the two functions, so ``import repro`` does
+not pay for it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Optional, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, Hashable, Tuple
 
 from repro._types import NodeId
 from repro.errors import GraphError
 from repro.network.graph import Graph
+
+if TYPE_CHECKING:  # pragma: no cover
+    import networkx as nx
 
 
 def from_networkx(
@@ -47,6 +50,8 @@ def from_networkx(
 
 def to_networkx(graph: Graph) -> "nx.Graph":
     """Export to a networkx graph with ``weight`` edge attributes."""
+    import networkx as nx
+
     nxg = nx.Graph(name=graph.name)
     nxg.add_nodes_from(graph.nodes())
     for u, v, w in graph.edges():

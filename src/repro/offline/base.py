@@ -62,51 +62,25 @@ class SimStateView:
         self.now = now
         self.graph = sim.graph
         self.object_speed_den = sim.object_speed_den
-        # Pending index (repro.core.pending): scheduled waiting accessors
-        # per object, maintained incrementally by the engine — the query
-        # below becomes proportional to the *scheduled* waiters instead
-        # of filtering every live accessor.  Plain-simulator fallbacks
-        # (tests, hand-rolled sims) take the filtering path.
-        self._pending = getattr(sim, "pending", None)
+        # The engine's live-set index keeps the scheduled waiting
+        # accessors per object, so each query is proportional to the
+        # *scheduled* waiters instead of filtering every live accessor.
+        self._deps = sim.deps
         self._req_cache: dict = {}
         self._reader_cache: dict = {}
 
     def scheduled_requesters(self, oid: ObjectId) -> List[Tuple[Time, NodeId]]:
         cached = self._req_cache.get(oid)
         if cached is None:
-            index = self._pending
-            if index is not None:
-                obj = self._sim.objects.get(oid)
-                cached = (
-                    [] if obj is None
-                    else index.scheduled_writer_pairs(obj.index, self.now)
-                )
-            else:
-                cached = [
-                    (txn.exec_time - self.now, txn.home)
-                    for txn in self._sim.live_requesters(oid)
-                    if txn.exec_time is not None
-                ]
-            self._req_cache[oid] = cached
+            cached = self._req_cache[oid] = self._deps.scheduled_pairs(oid, self.now)
         return cached
 
     def scheduled_readers(self, oid: ObjectId) -> List[Tuple[Time, NodeId]]:
         cached = self._reader_cache.get(oid)
         if cached is None:
-            index = self._pending
-            if index is not None:
-                obj = self._sim.objects.get(oid)
-                cached = (
-                    [] if obj is None
-                    else index.scheduled_reader_pairs(obj.index, self.now)
-                )
-            else:
-                cached = [
-                    (txn.exec_time - self.now, txn.home)
-                    for txn in self._sim.live_readers(oid)
-                    if txn.exec_time is not None
-                ]
-            self._reader_cache[oid] = cached
+            cached = self._reader_cache[oid] = self._deps.scheduled_pairs(
+                oid, self.now, reads=True
+            )
         return cached
 
     def holder_bound(self, oid: ObjectId, home: NodeId) -> Time:

@@ -135,8 +135,3 @@ class AdmissionQueue:
         self._entries = []
         self._deadlined = 0
         return specs
-
-    def peek_all(self) -> List[TxnSpec]:
-        """Queued specs in admission order (diagnostics/tests only)."""
-        specs = [e[2] for e in self._entries]
-        return specs[::-1] if self.policy == "lifo-shed" else specs

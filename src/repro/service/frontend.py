@@ -334,18 +334,6 @@ class ServiceFrontEnd:
             sim.add_alarm(t + 1)
         return due
 
-    def note_commit(self, txn: Transaction, t: Time) -> None:
-        """A transaction committed at step ``t``.
-
-        The engine inlines this body into its commit path (per-commit
-        call overhead is measurable); this method is the reference
-        implementation, kept for tests and external drivers.
-        """
-        self._commits_since += 1
-        self._seen_commit = True
-        if txn.deadline is not None:
-            self.deadline_commits += 1
-
     def note_expired(self, txn: Transaction, t: Time) -> None:
         """Engine callback: an admitted transaction was cancelled."""
         self.expired += 1

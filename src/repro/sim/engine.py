@@ -30,6 +30,7 @@ from __future__ import annotations
 import itertools
 from typing import Dict, List, Optional, Set
 
+from repro import durability
 from repro._types import DeparturePolicy, NodeId, ObjectId, Time, TxnId, TxnState
 from repro.errors import (
     CheckpointError,
@@ -185,31 +186,20 @@ class Simulator:
         #: observers called as fn(event, obj, t) for "register"/"arrive"
         #: events; used by distributed directories to track object motion
         self._object_observers: List = []
-        #: columnar per-object state, indexed by ``SharedObject.index``
-        #: (object ids are interned to dense ints in add_object):
-        #: live writers and live readers of each object
-        self._live_writers_col: List[Set[TxnId]] = []
-        self._live_readers_col: List[Set[TxnId]] = []
-        #: reverse intern table: dense index -> object id
-        self._obj_ids: List[ObjectId] = []
         #: per-node live transaction counts (nodes are dense already);
         #: makes the one_txn_per_node admission check O(1)
         self._live_home_count: List[int] = [0] * graph.num_nodes
         self._schedule_times = TimeColumn()
         self._last_wake: Optional[Time] = None
-        # Delta-maintained H_t conflict adjacency (repro.core.dependency);
-        # constraints_for dispatches to it instead of re-scanning live
-        # accessor sets.  Imported lazily: core.dependency imports this
-        # module for its type annotations.
+        # The live-set index (repro.core.dependency): H_t's conflict
+        # adjacency, per-object live and scheduled accessors, the
+        # unscheduled set, and the within-step constraint memo.  Every
+        # lifecycle site below makes exactly one call into it.  Imported
+        # lazily: core.dependency imports this module for its type
+        # annotations.
         from repro.core.dependency import DependencyTracker
-        from repro.core.pending import PendingIndex
 
         self.deps = DependencyTracker(self)
-        #: shared pending-transaction index (repro.core.pending): the
-        #: unscheduled set, per-object scheduled-waiter columns, and the
-        #: within-step constraint memo.  Fed from the same lifecycle
-        #: sites as the tracker, for every scheduler.
-        self.pending = PendingIndex(self)
 
         self.trace = ExecutionTrace(
             graph_name=graph.name,
@@ -238,7 +228,6 @@ class Simulator:
         #: lifetime active-step counter (never reset across run() calls);
         #: drives the periodic-checkpoint cadence and names {step} files
         self._active_steps = 0
-        self._interrupt_signum: Optional[int] = None
         if workload is not None:
             for oid, node in workload.initial_objects().items():
                 self.add_object(oid, node)
@@ -321,12 +310,10 @@ class Simulator:
         """Place a new shared object at ``node`` (at rest, no holder)."""
         if oid in self.objects:
             raise WorkloadError(f"duplicate object id {oid}")
-        obj = SharedObject(oid, node, speed_den=self.object_speed_den, index=len(self._obj_ids))
+        obj = SharedObject(
+            oid, node, speed_den=self.object_speed_den, index=self.deps.add_object(oid)
+        )
         self.objects[oid] = obj
-        self._obj_ids.append(oid)
-        self._live_writers_col.append(set())
-        self._live_readers_col.append(set())
-        self.pending.add_object_slot()
         self.trace.initial_placement.setdefault(oid, node)
         for fn in self._object_observers:
             fn("register", obj, self.now)
@@ -360,7 +347,7 @@ class Simulator:
         txn.exec_time = exec_time
         txn.state = TxnState.SCHEDULED
         self._schedule_times[txn.tid] = self.now
-        self.pending.note_scheduled(txn)
+        self.deps.on_schedule(txn)
         if self._obs is not None:
             self._obs.on_schedule(txn, exec_time, self.now)
         self.events.push_exec(exec_time, txn.tid)
@@ -434,23 +421,18 @@ class Simulator:
         obj = self.objects.get(oid)
         if obj is None:
             return []
-        return [self.txns[tid] for tid in self._live_writers_col[obj.index]]
+        return [self.txns[tid] for tid in self.deps.writers[obj.index]]
 
     def live_readers(self, oid: ObjectId) -> List[Transaction]:
         """Live transactions that *read* ``oid`` (read/write extension)."""
         obj = self.objects.get(oid)
         if obj is None:
             return []
-        return [self.txns[tid] for tid in self._live_readers_col[obj.index]]
+        return [self.txns[tid] for tid in self.deps.readers[obj.index]]
 
     def object_time_to_reach(self, oid: ObjectId, node: NodeId) -> Time:
         """Upper bound on when ``oid`` could be brought to ``node``."""
         return self._get_object(oid).time_to_reach(self.graph, node, self.now)
-
-    def holder_of(self, oid: ObjectId) -> Optional[Transaction]:
-        """Latest transaction that acquired ``oid`` (``L_t(o_i)``)."""
-        tid = self._get_object(oid).holder_txn
-        return self.txns[tid] if tid is not None else None
 
     # ------------------------------------------------------------------
     # main loop
@@ -531,34 +513,20 @@ class Simulator:
         # a flag, and the step loop turns it into one final checkpoint +
         # probe fsync + RunInterrupted, so a kill -TERM mid-campaign
         # always leaves a resumable snapshot and a parseable JSONL prefix.
-        import signal
-
-        restore_handlers = []
+        previous = durability.catch_interrupts()
         try:
-            for sig in (signal.SIGTERM, signal.SIGINT):
-                try:
-                    prev = signal.signal(sig, self._on_interrupt_signal)
-                except ValueError:  # not the main thread: run unguarded
-                    break
-                restore_handlers.append((sig, prev))
             return self._drive(max_steps=max_steps, until=until)
         finally:
-            for sig, prev in restore_handlers:
-                signal.signal(sig, prev)
-
-    def _on_interrupt_signal(self, signum, frame) -> None:
-        self._interrupt_signum = signum
+            durability.restore_handlers(previous)
 
     def _interrupt_exit(self) -> None:
         """Turn a caught SIGTERM/SIGINT into a checkpoint + clean raise."""
         import signal
 
-        from repro.durability import close_probes
-
-        signum = self._interrupt_signum
-        self._interrupt_signum = None
+        signum = durability.interrupted
+        durability.interrupted = None
         written = self.checkpoint()
-        close_probes(self.probe)
+        durability.close_probes(self.probe)
         name = signal.Signals(signum).name
         raise RunInterrupted(
             f"run interrupted by {name} at t={self.now}; checkpoint written "
@@ -578,6 +546,8 @@ class Simulator:
             self._started = True
             self._step(self.now)
         while True:
+            if durability.interrupted is not None:
+                self._interrupt_exit()
             nxt = self._next_active_time()
             if (
                 not self.live
@@ -615,8 +585,6 @@ class Simulator:
             self._active_steps += 1
             if ckpt_every is not None and self._active_steps % ckpt_every == 0:
                 self.checkpoint(sync=self.config.checkpoint_sync)
-            if self._interrupt_signum is not None:
-                self._interrupt_exit()
         if until is not None and self.now < until:
             self.now = until  # quiescent early: the clock still advances
         self.trace.end_time = self.now
@@ -1009,12 +977,6 @@ class Simulator:
         if 0 <= txn.home < len(self._live_home_count):
             self._live_home_count[txn.home] += 1
         self.deps.on_generate(txn)
-        self.pending.on_generate(txn)
-        objects = self.objects
-        for oid in txn.objects:
-            self._live_writers_col[objects[oid].index].add(txn.tid)
-        for oid in txn.reads:
-            self._live_readers_col[objects[oid].index].add(txn.tid)
         if self._obs is not None:
             self._obs.on_generate(txn, t)
         return txn
@@ -1094,24 +1056,27 @@ class Simulator:
                 self.record_fault("rerequest", t, node=holder, oid=oid)
                 self._needs_departure_check.add(oid)
         # (2) Un-commit: release queue slots and any in-flight read state
-        # so commit_schedule accepts a fresh time.
+        # so commit_schedule accepts a fresh time.  Served readers of this
+        # writer's objects keep their copies: a reader is served only once
+        # every writer preceding it has committed, so no copy depends on
+        # this uncommitted writer's position.
         for oid in txn.objects:
             obj = self.objects[oid]
             obj.remove_writer(txn.tid)
-            # Served-but-unexecuted readers may have copies whose version
-            # assumed this writer's old position in the order; re-cut.
-            for entry in obj.read_waiters:
-                if entry.tid in obj.reads_served:
-                    obj.reads_served.discard(entry.tid)
-                    obj.reads_delivered.discard(entry.tid)
-                    obj.read_epoch[entry.tid] = obj.read_epoch.get(entry.tid, 0) + 1
             self._needs_departure_check.add(oid)
             self._service_reads(obj, t)
+        # This transaction's own read copies: one still in flight was cut
+        # for the old time.  Bump the epoch, as _rehome_txn does, so the
+        # arrival check drops it; dropping the epoch entry with the rest
+        # of the read state would let that stale copy be accepted.
         for oid in txn.reads:
-            self.objects[oid].finish_read(txn.tid)
+            obj = self.objects[oid]
+            epoch = obj.read_epoch.get(txn.tid, 0)
+            obj.finish_read(txn.tid)
+            obj.read_epoch[txn.tid] = epoch + 1
         txn.exec_time = None
         txn.state = TxnState.PENDING
-        self.pending.on_unschedule(txn)
+        self.deps.on_unschedule(txn)
         floor = t + backoff
         # The backoff floor never pushes the next attempt past the run
         # horizon: a pathological reschedule count would otherwise park
@@ -1156,15 +1121,7 @@ class Simulator:
         deadline = txn.deadline if txn.deadline is not None else t
         txn.exec_time = None
         txn.state = TxnState.CANCELLED
-        del self.live[txn.tid]
-        if 0 <= txn.home < len(self._live_home_count):
-            self._live_home_count[txn.home] -= 1
-        self.deps.on_commit(txn)
-        self.pending.on_retire(txn)
-        for oid in txn.objects:
-            self._live_writers_col[self.objects[oid].index].discard(txn.tid)
-        for oid in txn.reads:
-            self._live_readers_col[self.objects[oid].index].discard(txn.tid)
+        self._retire(txn)
         self._resched_floor.pop(txn.tid, None)
         self.trace.expiries.append(
             ExpiredRecord(tid=txn.tid, time=t, deadline=deadline, gen_time=txn.gen_time)
@@ -1194,19 +1151,18 @@ class Simulator:
                 missing.append(oid)
         return missing
 
-    def _commit(self, txn: Transaction, t: Time) -> None:
-        txn.state = TxnState.EXECUTED
+    def _retire(self, txn: Transaction) -> None:
+        """Remove ``txn`` from the live set (commit or deadline expiry)."""
         del self.live[txn.tid]
         if 0 <= txn.home < len(self._live_home_count):
             self._live_home_count[txn.home] -= 1
-        self.deps.on_commit(txn)
-        self.pending.on_retire(txn)
-        for oid in txn.objects:
-            self._live_writers_col[self.objects[oid].index].discard(txn.tid)
+        self.deps.on_retire(txn)
+
+    def _commit(self, txn: Transaction, t: Time) -> None:
+        txn.state = TxnState.EXECUTED
+        self._retire(txn)
         for oid in txn.reads:
-            obj = self.objects[oid]
-            self._live_readers_col[obj.index].discard(txn.tid)
-            obj.finish_read(txn.tid)
+            self.objects[oid].finish_read(txn.tid)
         for oid in txn.objects:
             obj = self.objects[oid]
             obj.pop_head(txn.tid)
@@ -1233,8 +1189,8 @@ class Simulator:
             self._obs.on_commit(txn, t)
         service = self.service
         if service is not None:
-            # Inlined ServiceFrontEnd.note_commit — a per-commit hot
-            # path where the method-call overhead is measurable.
+            # Commit accounting for the overload controller, inline: a
+            # per-commit hot path where a method call is measurable.
             service._commits_since += 1
             service._seen_commit = True
             if txn.deadline is not None:

@@ -90,10 +90,6 @@ class Transaction:
         return self.state is TxnState.PENDING or self.state is TxnState.SCHEDULED
 
     @property
-    def is_scheduled(self) -> bool:
-        return self.exec_time is not None
-
-    @property
     def latency(self) -> Optional[Time]:
         """Execution duration ``t_T - t`` once scheduled, else ``None``."""
         if self.exec_time is None:

@@ -326,9 +326,6 @@ class WorkloadSpec:
                 return value
         return default
 
-    def knobs_dict(self) -> Dict[str, Any]:
-        return dict(self.knobs)
-
     def with_seed(self, seed: int) -> "WorkloadSpec":
         """The same spec re-seeded — the unit of :func:`~repro.analysis.
         aggregate.replicate` fan-out."""

@@ -1,5 +1,9 @@
 """Tests for networkx interop and the public testing helpers."""
 
+import os
+import subprocess
+import sys
+
 import networkx as nx
 import pytest
 
@@ -11,6 +15,20 @@ from repro.sim.transactions import Transaction
 
 
 class TestNetworkxInterop:
+    def test_import_cli_leaves_networkx_unloaded(self):
+        # networkx is imported only inside the interop functions and the
+        # betweenness analysis, so CLI start-up does not pay for it.
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        code = (
+            "import sys, repro.cli; "
+            "print([m for m in sys.modules if m.split('.')[0] == 'networkx'])"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "[]"
+
     def test_round_trip_preserves_metric(self):
         g = topologies.cluster_graph(2, 3, gamma=4)
         nxg = to_networkx(g)

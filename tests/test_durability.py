@@ -242,6 +242,46 @@ class TestKillAndResumeProcess:
             "--json", *extra,
         ]
 
+    def _resume_matches(self, env, ck, got, ref):
+        resumed = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "run",
+             "--resume", ck, "--trace", got, "--json"],
+            env=env, capture_output=True, timeout=120,
+        )
+        assert resumed.returncode == 0, resumed.stderr.decode()
+        assert open(ref, "rb").read() == open(got, "rb").read()
+
+    def test_sigterm_before_run_loop_checkpoints(self, tmp_path):
+        # The signal lands while the workload is still being built, before
+        # the engine exists: the run ends at its first step boundary with
+        # a checkpoint and exit 3 instead of dying with the signal.
+        env = self._env()
+        ref = os.path.join(str(tmp_path), "ref.json")
+        subprocess.run(
+            self._cli("--trace", ref), env=env, check=True,
+            capture_output=True, timeout=120,
+        )
+        ck = os.path.join(str(tmp_path), "ck.bin")
+        got = os.path.join(str(tmp_path), "got.json")
+        script = (
+            "import os, signal, sys\n"
+            "import repro.cli as cli\n"
+            "build = cli.make_workload\n"
+            "def make_workload(args, graph):\n"
+            "    os.kill(os.getpid(), signal.SIGTERM)\n"
+            "    return build(args, graph)\n"
+            "cli.make_workload = make_workload\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n"
+        )
+        argv = self._cli("--trace", got, "--checkpoint", ck)[3:]
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *argv],
+            env=env, capture_output=True, timeout=120,
+        )
+        assert proc.returncode == 3, proc.stderr.decode()
+        assert b"--resume" in proc.stderr
+        self._resume_matches(env, ck, got, ref)
+
     def test_sigterm_then_resume_byte_identical(self, tmp_path):
         env = self._env()
         ref = os.path.join(str(tmp_path), "ref.json")
@@ -256,7 +296,13 @@ class TestKillAndResumeProcess:
                       "--checkpoint-every", "5"),
             env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
         )
-        time.sleep(0.6)
+        # Signal once the run is demonstrably under way: the first
+        # periodic checkpoint exists (written atomically, so existence
+        # means complete).
+        deadline = time.monotonic() + 60
+        while (not os.path.exists(ck) and proc.poll() is None
+               and time.monotonic() < deadline):
+            time.sleep(0.005)
         proc.send_signal(signal.SIGTERM)
         _, err = proc.communicate(timeout=120)
         if proc.returncode == 0:
@@ -264,10 +310,4 @@ class TestKillAndResumeProcess:
         assert proc.returncode == 3, err.decode()
         assert b"--resume" in err
         assert os.path.exists(ck)
-        resumed = subprocess.run(
-            [sys.executable, "-m", "repro.cli", "run",
-             "--resume", ck, "--trace", got, "--json"],
-            env=env, capture_output=True, timeout=120,
-        )
-        assert resumed.returncode == 0, resumed.stderr.decode()
-        assert open(ref, "rb").read() == open(got, "rb").read()
+        self._resume_matches(env, ck, got, ref)

@@ -197,6 +197,24 @@ class TestLiveness:
         assert probe.counters["recovery.reschedules"] == len(trace.reschedules)
         assert certify_trace(g, trace) == []
 
+    @pytest.mark.parametrize("name", ["greedy", "bucket", "adaptive"])
+    def test_rescheduled_reader_ignores_in_flight_stale_copy(self, name):
+        # Half the transactions read, and delayed legs force recoveries.
+        # A rescheduled reader may still have a copy in flight that was
+        # cut for its old time; recovery must invalidate it (epoch bump)
+        # rather than forget the reader's epoch, or the stale copy is
+        # accepted on arrival and the certifier flags an absent copy.
+        g = topologies.grid([4, 4])
+        sched, speed = make_scheduler(name, g)
+        wl = OnlineWorkload.bernoulli(
+            g, 8, 2, rate=0.2, horizon=30, seed=0, read_fraction=0.5
+        )
+        plan = FaultPlan(seed=0, drop_prob=0.1, delay_prob=0.2, max_delay=3)
+        cfg = SimConfig(object_speed_den=speed, faults=plan)
+        trace = Simulator(g, sched, wl, config=cfg).run()
+        assert trace.reschedules and trace.copy_legs
+        assert certify_trace(g, trace, raise_on_failure=False) == []
+
     def test_crash_defers_execution_past_restart(self):
         """A manual one-txn run whose home node is down at its committed
         time: the engine must reschedule it to >= the restart step."""

@@ -325,6 +325,19 @@ class TestApiRedesign:
         assert result.ok
         assert result.committed > 0
 
+    def test_episode_spec_rejects_legacy_workload_dict(self):
+        data = EpisodeSpec(
+            topology="ring:8",
+            scheduler="greedy",
+            workload=WorkloadSpec.make("batch", seed=2, objects=5, k=2),
+            plan=FaultPlan(seed=1),
+        ).to_dict()
+        data["workload"] = {"kind": "batch", "objects": 5, "k": 2, "seed": 2}
+        with pytest.raises(ReproError, match="legacy"):
+            EpisodeSpec.from_dict(data)
+        with pytest.raises(ReproError, match="WorkloadSpec"):
+            make_workload(topologies.clique(6), data["workload"])
+
     def test_make_workload_dispatches_on_spec(self):
         g = topologies.clique(6)
         wl = make_workload(g, WorkloadSpec.make("batch", seed=1, objects=4, k=2))
