@@ -945,10 +945,10 @@ def cmd_checkpoint(args) -> int:
 def cmd_profile(args) -> int:
     """Profile one run under cProfile and print the hottest functions.
 
-    The profiled region is exactly ``run_experiment`` (engine + scheduler
-    + certification); graph/workload construction is excluded so the
-    table reflects the steady-state hot path.  Future hot-path claims
-    should cite this output rather than intuition.
+    The profiled region is exactly ``run_experiment``: the engine and
+    scheduler, the trace certifier and the competitive-ratio analysis.
+    Graph and workload construction are excluded.  Future hot-path
+    claims should cite this output rather than intuition.
     """
     import cProfile
     import io

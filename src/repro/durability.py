@@ -1,4 +1,4 @@
-"""Checkpoint/restore for long simulations (schema ``repro.checkpoint/1``).
+"""Checkpoint/restore for long simulations (schema ``repro.checkpoint/2``).
 
 A checkpoint is one file with two parts:
 
@@ -7,7 +7,7 @@ A checkpoint is one file with two parts:
   ``repro checkpoint inspect`` and sweep resumption can triage snapshots
   cheaply (and safely: no code runs);
 * a pickle **payload** of the full :class:`~repro.sim.engine.Simulator`
-  — event-spine buckets, columnar txn table, dependency edges, transport
+  — event-spine buckets, txn table, dependency edges, transport
   in-flight legs, fault injector cursors, probe state, and the trace
   prefix.
 
@@ -102,7 +102,9 @@ def restore_handlers(previous: List[Tuple[int, Any]]) -> None:
     interrupted = None
 
 
-CHECKPOINT_SCHEMA = "repro.checkpoint/1"
+#: bumped whenever the pickled engine layout changes, so a checkpoint
+#: from an older build fails at the header instead of inside unpickling
+CHECKPOINT_SCHEMA = "repro.checkpoint/2"
 
 
 def _digest(*parts: Any) -> str:
@@ -258,7 +260,9 @@ def load_checkpoint(path: str):
 
     The payload hash recorded in the header is verified before
     unpickling, so a torn write (e.g. copied mid-checkpoint) fails with a
-    clear error instead of an arbitrary pickle exception.
+    clear error instead of an arbitrary pickle exception.  A payload that
+    names a class or module this build does not have (written by another
+    build under the same schema) fails the same way.
     """
     with open(path, "rb") as fh:
         header = _read_header(fh, path)
@@ -270,7 +274,14 @@ def load_checkpoint(path: str):
             f"{path}: payload corrupt ({len(payload)} bytes, expected "
             f"{header['payload_bytes']}) — was the file truncated?"
         )
-    return pickle.loads(payload)
+    try:
+        return pickle.loads(payload)
+    except (ModuleNotFoundError, AttributeError, pickle.UnpicklingError) as exc:
+        raise CheckpointError(
+            f"{path}: cannot restore checkpoint (schema {header['schema']!r}, "
+            f"step {header.get('step')}): {exc} — it was written by a build "
+            "with a different engine layout"
+        ) from exc
 
 
 def close_probes(probe) -> None:

@@ -138,10 +138,6 @@ class Graph:
         self._check_node(u)
         return self._adj[u]
 
-    def degree(self, u: NodeId) -> int:
-        """Number of neighbours of ``u``."""
-        return len(self.neighbors(u))
-
     # ------------------------------------------------------------------
     # elastic membership (repro.faults joins)
     # ------------------------------------------------------------------

@@ -186,10 +186,6 @@ class GridOracle(DistanceOracle):
         self.strides: Tuple[int, ...] = tuple(reversed(strides))
         self.w = weight
 
-    def coords(self, u: NodeId) -> Tuple[int, ...]:
-        """Decode a node id to its grid coordinates."""
-        return tuple((u // s) % d for d, s in zip(self.dims, self.strides))
-
     def distance(self, u: NodeId, v: NodeId) -> Weight:
         total = 0
         for d, s in zip(self.dims, self.strides):

@@ -10,7 +10,6 @@ from repro.offline.base import (
     BatchScheduler,
     SimStateView,
     StandaloneView,
-    batch_completion_time,
     check_suffix_property,
     enforce_suffix_property,
 )
@@ -24,7 +23,6 @@ __all__ = [
     "BatchScheduler",
     "SimStateView",
     "StandaloneView",
-    "batch_completion_time",
     "check_suffix_property",
     "enforce_suffix_property",
     "ColoringBatchScheduler",

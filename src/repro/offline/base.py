@@ -207,11 +207,6 @@ class BatchScheduler(abc.ABC):
         return max(self.plan(view, txns, floor=floor).values())
 
 
-def batch_completion_time(plan: Mapping[TxnId, Time]) -> Time:
-    """Makespan (relative) of a plan; 0 for an empty plan."""
-    return max(plan.values()) if plan else 0
-
-
 def _suffix_placement(
     view: StandaloneView, order: Sequence[Transaction], start: int
 ) -> Dict[ObjectId, NodeId]:

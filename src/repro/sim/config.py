@@ -33,8 +33,6 @@ class SimConfig:
     strict:
         Missing objects at execution are a hard error (True) or recorded
         deferrals (False).
-    one_txn_per_node:
-        Enforce at most one live transaction per node.
     node_egress_capacity:
         Max object departures per node per step (None = unbounded);
         applied as an :class:`~repro.sim.transport.EgressCapacity`
@@ -107,7 +105,6 @@ class SimConfig:
     departure_policy: DeparturePolicy = DeparturePolicy.EAGER
     object_speed_den: int = 1
     strict: bool = True
-    one_txn_per_node: bool = False
     node_egress_capacity: Optional[int] = None
     link_capacity: Optional[int] = None
     max_time: Optional[Time] = None

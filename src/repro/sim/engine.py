@@ -43,7 +43,6 @@ from repro.errors import (
 )
 from repro.network.graph import Graph
 from repro.obs.probe import NULL_PROBE
-from repro.sim.columnar import RecordColumn, TimeColumn, TxnRecordStore, TxnTable
 from repro.sim.config import SimConfig
 from repro.sim.events import EventKind, EventQueue
 from repro.sim.messages import MessageRouter
@@ -102,9 +101,6 @@ class Simulator:
         self.departure_policy = cfg.departure_policy
         self.object_speed_den = int(cfg.object_speed_den)
         self.strict = cfg.strict
-        self.one_txn_per_node = cfg.one_txn_per_node
-        self.node_egress_capacity = cfg.node_egress_capacity
-        self.link_capacity = cfg.link_capacity
         self.max_time = cfg.max_time
         self.probe = cfg.probe if cfg.probe is not None else NULL_PROBE
         #: fast-path guard: None when disabled, so every probe call site
@@ -113,9 +109,7 @@ class Simulator:
 
         self.now: Time = 0
         self.objects: Dict[ObjectId, SharedObject] = {}
-        #: dense txn column — tids are assigned in arrival order, so the
-        #: table is a list probe with the full Mapping surface on top
-        self.txns: TxnTable = TxnTable()
+        self.txns: Dict[TxnId, Transaction] = {}
         self.live: Dict[TxnId, Transaction] = {}
         #: the event spine — single source of future engine events
         self.events = EventQueue()
@@ -186,10 +180,11 @@ class Simulator:
         #: observers called as fn(event, obj, t) for "register"/"arrive"
         #: events; used by distributed directories to track object motion
         self._object_observers: List = []
-        #: per-node live transaction counts (nodes are dense already);
-        #: makes the one_txn_per_node admission check O(1)
+        #: per-node live transaction counts (nodes are dense already); a
+        #: draining node leaves once its count reaches zero
         self._live_home_count: List[int] = [0] * graph.num_nodes
-        self._schedule_times = TimeColumn()
+        #: step at which each scheduled transaction was scheduled
+        self._schedule_times: Dict[TxnId, Time] = {}
         self._last_wake: Optional[Time] = None
         # The live-set index (repro.core.dependency): H_t's conflict
         # adjacency, per-object live and scheduled accessors, the
@@ -206,14 +201,6 @@ class Simulator:
             initial_placement={},
             object_speed_den=self.object_speed_den,
         )
-        # Lazy columnar record stores (repro.sim.columnar): the per-step
-        # hot paths append raw argument tuples; records materialise on
-        # first post-run access.  Engine-produced traces only — traces
-        # built elsewhere (deserialisation, baselines) keep plain
-        # dict/list fields with the identical surface.
-        self.trace.txns = TxnRecordStore()
-        self.trace.legs = RecordColumn(ObjectLeg)
-        self.trace.copy_legs = RecordColumn(CopyLeg)
         #: open-system streaming state (repro.workloads.streaming): a lazy
         #: unbounded spec iterator plus its one-spec lookahead.  None for
         #: closed workloads, whose finite spec list is materialized below.
@@ -935,7 +922,7 @@ class Simulator:
         target = self._nearest_member(obj.location)
         arrive = t + obj.travel_time(self.graph.distance(obj.location, target))
         self.record_fault("leave-recover", t, node=target, oid=obj.oid)
-        self.trace.legs.append_row(obj.oid, t, obj.location, target, arrive)
+        self.trace.legs.append(ObjectLeg(obj.oid, t, obj.location, target, arrive))
         if self._obs is not None:
             self._obs.on_depart(obj.oid, t, obj.location, target, arrive)
         obj.begin_leg(target, arrive)
@@ -955,12 +942,6 @@ class Simulator:
             # before generation: the transaction is born at the nearest
             # surviving member instead.
             home = self._nearest_member(home)
-        if (
-            self.one_txn_per_node
-            and 0 <= home < len(self._live_home_count)
-            and self._live_home_count[home]
-        ):
-            raise WorkloadError(f"node {home} already has a live transaction at t={t}")
         txn = Transaction(
             tid=next(self._tid_counter),
             home=home,
@@ -972,7 +953,6 @@ class Simulator:
             priority=spec.priority,
         )
         self.txns[txn.tid] = txn
-        self._schedule_times.append_slot()
         self.live[txn.tid] = txn
         if 0 <= txn.home < len(self._live_home_count):
             self._live_home_count[txn.home] += 1
@@ -1175,8 +1155,7 @@ class Simulator:
         for oid in txn.creates:
             obj = self.add_object(oid, txn.home)
             obj.holder_txn = txn.tid
-        # Field order matches TxnRecord (the store materialises lazily).
-        self.trace.txns.add_row(
+        self.trace.txns[txn.tid] = TxnRecord(
             txn.tid,
             txn.home,
             tuple(sorted(txn.objects)),
@@ -1226,8 +1205,8 @@ class Simulator:
                 # Co-located: a zero-length copy, recorded so the certifier
                 # can verify where and at which version it was cut.
                 obj.reads_delivered.add(entry.tid)
-                self.trace.copy_legs.append_row(
-                    obj.oid, entry.tid, t, obj.location, reader_home, t, obj.version
+                self.trace.copy_legs.append(
+                    CopyLeg(obj.oid, entry.tid, t, obj.location, reader_home, t, obj.version)
                 )
                 if self._obs is not None:
                     self._obs.on_copy(obj.oid, entry.tid, t, t)
@@ -1240,8 +1219,8 @@ class Simulator:
                 dist = drow[reader_home]
             travel = obj.travel_time(dist)
             arrive = t + travel
-            self.trace.copy_legs.append_row(
-                obj.oid, entry.tid, t, obj.location, reader_home, arrive, obj.version
+            self.trace.copy_legs.append(
+                CopyLeg(obj.oid, entry.tid, t, obj.location, reader_home, arrive, obj.version)
             )
             if self._obs is not None:
                 self._obs.on_copy(obj.oid, entry.tid, t, arrive)
@@ -1280,7 +1259,7 @@ class Simulator:
         if leg is None:
             return  # blocked: the transport has scheduled a retry
         dst, arrive = leg
-        self.trace.legs.append_row(obj.oid, t, obj.location, dst, arrive)
+        self.trace.legs.append(ObjectLeg(obj.oid, t, obj.location, dst, arrive))
         if self._obs is not None:
             self._obs.on_depart(obj.oid, t, obj.location, dst, arrive)
         obj.begin_leg(dst, arrive)

@@ -53,7 +53,7 @@ class SharedObject:
     #: number of committed writers (the current version of the data)
     version: int = 0
     #: dense intern index assigned by the engine at registration; the
-    #: engine's columnar state (live accessor sets) is keyed by it
+    #: live-set index's per-object accessor columns are keyed by it
     index: int = -1
 
     def travel_time(self, dist) -> Time:

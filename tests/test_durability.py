@@ -148,6 +148,36 @@ class TestCheckpointFile:
         with pytest.raises(CheckpointError, match="corrupt|truncated"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize(
+        "payload, missing",
+        [
+            (b"cno_such_pkg.gone\nThing\n.", "no_such_pkg"),
+            (b"crepro.sim.engine\nNoSuchThing\n.", "NoSuchThing"),
+            (b"\x80\x05garbage", ""),
+        ],
+        ids=["missing-module", "missing-class", "garbage"],
+    )
+    def test_payload_from_other_build_rejected(self, tmp_path, payload, missing):
+        """A checkpoint whose header and hash are valid but whose payload
+        names code this build lacks (an older engine layout) fails with a
+        CheckpointError naming the file, schema, step and missing name."""
+        import hashlib
+
+        path = os.path.join(str(tmp_path), "old.bin")
+        header = {
+            "schema": CHECKPOINT_SCHEMA,
+            "step": 5,
+            "payload_bytes": len(payload),
+            "payload_sha256": hashlib.sha256(payload).hexdigest(),
+        }
+        with open(path, "wb") as fh:
+            fh.write(json.dumps(header).encode() + b"\n" + payload)
+        with pytest.raises(CheckpointError) as err:
+            Simulator.restore(path)
+        msg = str(err.value)
+        assert path in msg and CHECKPOINT_SCHEMA in msg and "step 5" in msg
+        assert missing in msg
+
     def test_not_a_checkpoint_rejected(self, tmp_path):
         path = os.path.join(str(tmp_path), "junk.bin")
         with open(path, "wb") as fh:

@@ -137,12 +137,6 @@ class TestArrivalHandling:
         assert trace.txns[0].home == 4
         assert trace.txns[1].home == 2
 
-    def test_one_txn_per_node_enforced(self):
-        specs = [TxnSpec(0, 2, (0,)), TxnSpec(0, 2, (1,))]
-        sim = line_sim({2: 1}, specs, {0: 2, 1: 2}, n=4, one_txn_per_node=True)
-        with pytest.raises(WorkloadError):
-            sim.run()
-
     def test_submit_in_past_rejected(self):
         sim = Simulator(topologies.line(4), NullScheduler())
         sim.now = 10

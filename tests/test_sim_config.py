@@ -34,7 +34,6 @@ def test_defaults_match_simulator_defaults():
     assert cfg.departure_policy is DeparturePolicy.EAGER
     assert cfg.object_speed_den == 1
     assert cfg.strict is True
-    assert cfg.one_txn_per_node is False
     assert cfg.node_egress_capacity is None
     assert cfg.transport_kind == "direct"
     assert cfg.link_capacity is None
@@ -125,7 +124,6 @@ def test_all_legacy_simulator_kwargs_still_accepted():
             departure_policy=DeparturePolicy.LAZY,
             object_speed_den=2,
             strict=False,
-            one_txn_per_node=False,
             node_egress_capacity=4,
             transport="hop",
             link_capacity=3,
