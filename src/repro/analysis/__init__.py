@@ -36,6 +36,7 @@ from repro.analysis.experiments import (
     StreamResult,
     run_experiment,
     run_grid,
+    run_simulator,
     run_stream,
 )
 from repro.analysis.frontier import (
@@ -71,6 +72,7 @@ __all__ = [
     "render_table",
     "RunResult",
     "run_experiment",
+    "run_simulator",
     "run_grid",
     "Aggregate",
     "replicate",

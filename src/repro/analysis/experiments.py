@@ -100,7 +100,23 @@ def run_experiment(
             "open (streaming) workload needs a horizon — use "
             "run_stream(graph, scheduler, workload, until=...)"
         )
-    sim = Simulator(graph, scheduler, workload, config=cfg)
+    return run_simulator(
+        Simulator(graph, scheduler, workload, config=cfg),
+        certify=certify, compute_ratios=compute_ratios, max_steps=max_steps,
+    )
+
+
+def run_simulator(
+    sim: Simulator,
+    *,
+    certify: bool = True,
+    compute_ratios: bool = True,
+    max_steps: Optional[int] = None,
+) -> RunResult:
+    """The second half of :func:`run_experiment`: run a built — or
+    restored (:meth:`Simulator.restore`) — simulator to quiescence, then
+    certify and analyse its trace."""
+    graph, cfg = sim.graph, sim.config
     trace = sim.run(max_steps=max_steps)
     if certify and cfg.strict:
         certify_trace(graph, trace)

@@ -205,6 +205,7 @@ def stability_frontier(
     """
     import json
 
+    from repro.durability import read_resume_log
     from repro.parallel import pmap
 
     if not schedulers:
@@ -222,19 +223,8 @@ def stability_frontier(
     cache: Dict[Tuple[str, float], Dict[str, Any]] = {}
     log_fh = None
     if resume_path is not None:
-        try:
-            with open(resume_path) as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        rec = json.loads(line)
-                    except ValueError:
-                        continue  # torn final line from an interrupted run
-                    cache[(rec["scheduler"], rec["lam"])] = rec["row"]
-        except FileNotFoundError:
-            pass
+        for rec in read_resume_log(resume_path):
+            cache[(rec["scheduler"], rec["lam"])] = rec["row"]
         log_fh = open(resume_path, "a")
 
     def probe_at(name: str, lam: float) -> FrontierProbe:

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.chaos.invariants import InvariantMonitor, InvariantViolation
+from repro.durability import read_resume_log
 from repro.errors import ReproError
 from repro.faults import FaultPlan
 from repro.parallel import WorkerPool
@@ -458,31 +459,6 @@ class SweepResult:
         return out
 
 
-def _load_sweep_log(path: str) -> Dict[int, Dict[str, object]]:
-    """Completed-episode records from a resumable sweep log.
-
-    One JSON object per line, keyed by episode index.  A torn final line
-    (the writer was killed mid-append) is silently dropped — that episode
-    simply re-runs.
-    """
-    done: Dict[int, Dict[str, object]] = {}
-    try:
-        fh = open(path)
-    except FileNotFoundError:
-        return done
-    with fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except ValueError:
-                continue  # torn final line from an interrupted run
-            done[int(rec["index"])] = rec
-    return done
-
-
 def run_sweep(
     episodes: int,
     *,
@@ -534,7 +510,7 @@ def run_sweep(
     done: Dict[int, Dict[str, object]] = {}
     log_fh = None
     if resume_path is not None:
-        done = _load_sweep_log(resume_path)
+        done = {int(rec["index"]): rec for rec in read_resume_log(resume_path)}
         log_fh = open(resume_path, "a")
 
     out = SweepResult()

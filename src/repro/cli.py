@@ -25,7 +25,7 @@ from typing import Optional, Tuple
 
 from repro import durability
 from repro._types import DeparturePolicy
-from repro.analysis import render_table, run_experiment
+from repro.analysis import render_table, run_simulator
 from repro.baselines import FifoSerialScheduler, TspTourScheduler
 from repro.core import (
     AdaptiveScheduler,
@@ -46,15 +46,10 @@ from repro.offline import (
     StarBatchScheduler,
 )
 from repro.sim.config import SimConfig
+from repro.sim.engine import Simulator
 from repro.sim.serialize import save_trace
-from repro.workloads import (
-    BatchWorkload,
-    ClosedLoopWorkload,
-    OnlineWorkload,
-    ZipfChooser,
-    chain_workload,
-    hotspot_workload,
-)
+from repro.workloads import WorkloadSpec
+from repro.workloads.spec import allowed_knobs
 
 SCHEDULER_NAMES = [
     "greedy",
@@ -148,35 +143,53 @@ def make_scheduler(name: str, graph: Graph) -> Tuple[object, int]:
     raise SystemExit(f"unknown scheduler {name!r} (choose from {SCHEDULER_NAMES})")
 
 
+#: ``--workload`` -> (WorkloadSpec kind, {knob: flag attribute}); the
+#: object-pool knobs (--objects, --k, --zipf, --read-fraction) are added
+#: for every kind that accepts them
+_WORKLOADS = {
+    "batch": ("batch", {}),
+    "bernoulli": ("bernoulli", {"rate": "rate", "horizon": "horizon"}),
+    "poisson": ("poisson-bulk", {"lam": "rate", "horizon": "horizon"}),
+    "closed-loop": ("closed-loop", {"rounds": "rounds"}),
+    "hotspot": ("hotspot", {}),
+    "chain": ("chain", {}),
+    "poisson-open": ("poisson-open", {"lam": "lam"}),
+    "onoff-open": ("onoff-open", {"lam_on": "lam", "lam_off": "lam_off"}),
+    "diurnal-open": (
+        "diurnal-open", {"lam": "lam", "amplitude": "amplitude", "period": "period"}
+    ),
+    "adversarial-open": ("adversarial-open", {"rate": "lam", "burst": "burst"}),
+}
+OPEN_WORKLOAD_KINDS = [name for name in _WORKLOADS if name.endswith("-open")]
+CLOSED_WORKLOAD_KINDS = [name for name in _WORKLOADS if not name.endswith("-open")]
+
+
+def make_stream_spec(args) -> WorkloadSpec:
+    """The :class:`WorkloadSpec` that ``--workload`` and its knob flags
+    describe, for closed (run/compare/suite) and open (stream/serve/
+    frontier) kinds alike.  A knob the kind does not accept is an error
+    (``poisson`` draws write-only transactions, so it rejects
+    ``--read-fraction``)."""
+    kind, flags = _WORKLOADS[args.workload]
+    knobs = {
+        knob: getattr(args, flag)
+        for knob, flag in flags.items()
+        if getattr(args, flag) is not None
+    }
+    if "objects" in allowed_knobs(kind):
+        knobs.update(objects=args.objects, k=args.k)
+        if args.zipf > 0:
+            knobs["zipf"] = args.zipf
+        if args.read_fraction > 0:
+            knobs["read_fraction"] = args.read_fraction
+    if getattr(args, "priority_classes", 1) > 1:
+        knobs["priority_classes"] = args.priority_classes
+    return WorkloadSpec.make(kind, seed=args.seed, **knobs)
+
+
 def make_workload(args, graph: Graph):
-    chooser = None
-    if args.zipf > 0:
-        chooser = ZipfChooser(args.objects, args.zipf)
-    if args.workload == "batch":
-        return BatchWorkload.uniform(
-            graph, args.objects, args.k, seed=args.seed, chooser=chooser,
-            read_fraction=args.read_fraction,
-        )
-    if args.workload == "bernoulli":
-        return OnlineWorkload.bernoulli(
-            graph, args.objects, args.k, rate=args.rate, horizon=args.horizon,
-            seed=args.seed, chooser=chooser, read_fraction=args.read_fraction,
-        )
-    if args.workload == "poisson":
-        return OnlineWorkload.poisson_bulk(
-            graph, args.objects, args.k, lam=args.rate, horizon=args.horizon,
-            seed=args.seed, chooser=chooser,
-        )
-    if args.workload == "closed-loop":
-        return ClosedLoopWorkload(
-            graph, args.objects, args.k, rounds=args.rounds, seed=args.seed,
-            chooser=chooser, read_fraction=args.read_fraction,
-        )
-    if args.workload == "hotspot":
-        return hotspot_workload(graph, seed=args.seed)
-    if args.workload == "chain":
-        return chain_workload(graph)
-    raise SystemExit(f"unknown workload {args.workload!r}")
+    """The workload ``--workload`` and its knob flags describe, on ``graph``."""
+    return make_stream_spec(args).build(graph)
 
 
 def _result_dict(name: str, res) -> dict:
@@ -212,16 +225,6 @@ def make_probe(args, jsonl_path: Optional[str] = None):
     return probes[0] if len(probes) == 1 else MultiProbe(*probes)
 
 
-def _close_probe(probe) -> None:
-    """Close any file-owning probes (JsonlProbe) after a run."""
-    if probe is None:
-        return
-    for p in getattr(probe, "probes", (probe,)):
-        close = getattr(p, "close", None)
-        if close is not None:
-            close()
-
-
 def make_faults(args, graph: Graph):
     """Parse ``--faults seed=S,drop=P,crash=K,partition=K,...`` into a FaultPlan."""
     spec = getattr(args, "faults", None)
@@ -236,171 +239,6 @@ def make_faults(args, graph: Graph):
         horizon=horizon,
         edges=[(u, v) for u, v, _ in graph.edges()],
     )
-
-
-def make_config(args, speed: int, probe=None, faults=None) -> SimConfig:
-    """Translate CLI knobs into one SimConfig.
-
-    Congestion studies (--link-capacity / --node-capacity) need the
-    deferral engine, not hard errors, so they switch to strict=False —
-    their schedules target the congestion-free model and the deferral
-    count is the measurement.  Fault runs (--faults) stay strict: misses
-    route through the recovery machinery, not the deferral path.
-
-    ``--transport`` selects the motion model explicitly; without it
-    ``--hop-motion`` or ``--link-capacity`` imply ``transport="hop"``.
-    """
-    link_capacity = getattr(args, "link_capacity", None)
-    node_capacity = getattr(args, "node_capacity", None)
-    transport = getattr(args, "transport", None)
-    if transport == "direct":
-        if link_capacity:
-            raise SystemExit(
-                "--link-capacity requires a hop transport "
-                "(use --transport hop, or drop --transport direct)"
-            )
-        if getattr(args, "hop_motion", False):
-            raise SystemExit("--transport direct conflicts with --hop-motion")
-    elif transport is None and (getattr(args, "hop_motion", False) or link_capacity):
-        transport = "hop"
-    congested = bool(link_capacity or node_capacity)
-    checkpoint = getattr(args, "checkpoint", None)
-    return SimConfig(
-        departure_policy=DeparturePolicy.LAZY if getattr(args, "lazy", False)
-        else DeparturePolicy.EAGER,
-        object_speed_den=max(speed, args.object_speed),
-        strict=not congested,
-        node_egress_capacity=node_capacity,
-        link_capacity=link_capacity,
-        probe=probe,
-        transport=transport,
-        faults=faults,
-        checkpoint_path=checkpoint,
-        checkpoint_every=(
-            getattr(args, "checkpoint_every", None) if checkpoint else None
-        ),
-    )
-
-
-def _resume_sim(path: str):
-    """Restore a checkpointed engine for ``--resume`` (run/stream)."""
-    from repro.sim.engine import Simulator
-
-    return Simulator.restore(path)
-
-
-def cmd_run(args) -> int:
-    if getattr(args, "resume", None):
-        return _cmd_run_resumed(args)
-    if not args.topology:
-        raise SystemExit("--topology is required (unless resuming with --resume)")
-    graph = parse_topology(args.topology)
-    scheduler, speed = make_scheduler(args.scheduler, graph)
-    workload = make_workload(args, graph)
-    probe = make_probe(args)
-    res = run_experiment(
-        graph, scheduler, workload,
-        config=make_config(args, speed, probe=probe, faults=make_faults(args, graph)),
-    )
-    _close_probe(probe)
-    out = _result_dict(args.scheduler, res)
-    out["topology"] = graph.name
-    out["deadline_misses"] = len(res.trace.violations)
-    if res.trace.faults or res.trace.reschedules:
-        out["faults"] = res.trace.fault_counts()
-        out["reschedules"] = len(res.trace.reschedules)
-        out["backoff_max"] = res.trace.max_backoff()
-    if res.obs is not None:
-        out["obs"] = res.obs
-    if args.obs_jsonl:
-        out["obs_jsonl"] = args.obs_jsonl
-    if args.trace:
-        save_trace(res.trace, args.trace)
-        out["trace_file"] = args.trace
-    if args.report:
-        from repro.analysis.report import run_report
-
-        with open(args.report, "w") as fh:
-            fh.write(run_report(graph, res, title=f"{graph.name} / {args.scheduler}"))
-        out["report_file"] = args.report
-    if args.json:
-        print(json.dumps(out, indent=2))
-    else:
-        obs = out.pop("obs", None)
-        rows = [[k, v] for k, v in out.items()]
-        if obs:
-            rows.extend([[f"obs.{k}", v] for k, v in obs.items()])
-        print(render_table(["metric", "value"], rows, title=f"{graph.name} / {args.scheduler}"))
-    return 0
-
-
-def _cmd_run_resumed(args) -> int:
-    """``repro run --resume <checkpoint>``: continue a killed closed run.
-
-    Topology, scheduler, workload, faults, and checkpoint settings all
-    live inside the snapshot; the resumed run keeps checkpointing to the
-    path it was started with and produces the same trace the
-    uninterrupted run would have.
-    """
-    from repro.sim.validate import certify_trace
-
-    sim = _resume_sim(args.resume)
-    trace = sim.run()
-    _close_probe(sim.config.probe)
-    if sim.config.strict:
-        certify_trace(sim.graph, trace)
-    out = {
-        "scheduler": type(sim.scheduler).__name__,
-        "topology": sim.graph.name,
-        "resumed_from": args.resume,
-        "txns": trace.num_txns,
-        "makespan": trace.makespan(),
-        "max_latency": trace.max_latency(),
-        "mean_latency": round(trace.mean_latency(), 2),
-        "object_travel": trace.total_object_travel(),
-        "messages": trace.messages_sent,
-        "deadline_misses": len(trace.violations),
-    }
-    if trace.faults or trace.reschedules:
-        out["faults"] = trace.fault_counts()
-        out["reschedules"] = len(trace.reschedules)
-    if getattr(args, "trace", None):
-        save_trace(trace, args.trace)
-        out["trace_file"] = args.trace
-    if args.json:
-        print(json.dumps(out, indent=2))
-    else:
-        rows = [[k, v] for k, v in out.items()]
-        print(render_table(["metric", "value"], rows,
-                           title=f"resumed {out['topology']} / {out['scheduler']}"))
-    return 0
-
-
-OPEN_WORKLOAD_KINDS = ["poisson-open", "onoff-open", "diurnal-open", "adversarial-open"]
-
-
-def make_stream_spec(args) -> "WorkloadSpec":
-    """Build the open :class:`WorkloadSpec` a stream/frontier run uses."""
-    from repro.analysis.frontier import rate_knob
-    from repro.workloads import WorkloadSpec
-
-    kind = args.workload
-    knobs = {"objects": args.objects, "k": args.k}
-    if args.zipf > 0:
-        knobs["zipf"] = args.zipf
-    if args.read_fraction > 0:
-        knobs["read_fraction"] = args.read_fraction
-    knobs[rate_knob(kind)] = args.lam
-    if kind == "onoff-open" and args.lam_off is not None:
-        knobs["lam_off"] = args.lam_off
-    if kind == "diurnal-open":
-        knobs["amplitude"] = args.amplitude
-        knobs["period"] = args.period
-    if kind == "adversarial-open":
-        knobs["burst"] = args.burst
-    if getattr(args, "priority_classes", 1) > 1:
-        knobs["priority_classes"] = args.priority_classes
-    return WorkloadSpec.make(kind, seed=args.seed, **knobs)
 
 
 def make_service_config(args):
@@ -419,6 +257,124 @@ def make_service_config(args):
         deadline_frac=args.deadline_frac,
         seed=args.seed,
     )
+
+
+def make_config(args, speed: int, probe=None, faults=None) -> SimConfig:
+    """Translate CLI knobs into one SimConfig; every command builds its
+    engine config here.
+
+    Congestion studies (--link-capacity / --node-capacity) need the
+    deferral engine, not hard errors, so they switch to strict=False —
+    their schedules target the congestion-free model and the deferral
+    count is the measurement.  Fault runs (--faults) stay strict: misses
+    route through the recovery machinery, not the deferral path.
+
+    ``--transport`` selects the motion model explicitly; without it a
+    ``--link-capacity`` implies ``transport="hop"``.  Long-tail delivery
+    (``--latency-dist``) rides on the recovery machinery, so without a
+    fault plan it gets an empty one (no injected faults).
+    """
+    link_capacity = getattr(args, "link_capacity", None)
+    node_capacity = getattr(args, "node_capacity", None)
+    transport = getattr(args, "transport", None)
+    if transport == "direct" and link_capacity:
+        raise SystemExit(
+            "--link-capacity requires a hop transport "
+            "(use --transport hop, or drop --transport direct)"
+        )
+    if transport is None and link_capacity:
+        transport = "hop"
+    latency = getattr(args, "latency_dist", None)
+    if latency and faults is None:
+        from repro.faults import FaultPlan
+
+        faults = FaultPlan(seed=args.seed)
+    checkpoint = getattr(args, "checkpoint", None)
+    return SimConfig(
+        departure_policy=DeparturePolicy.LAZY if getattr(args, "lazy", False)
+        else DeparturePolicy.EAGER,
+        object_speed_den=max(speed, getattr(args, "object_speed", 1)),
+        strict=not (link_capacity or node_capacity),
+        node_egress_capacity=node_capacity,
+        link_capacity=link_capacity,
+        probe=probe,
+        transport=transport,
+        faults=faults,
+        checkpoint_path=checkpoint,
+        checkpoint_every=(
+            getattr(args, "checkpoint_every", None) if checkpoint else None
+        ),
+        service=make_service_config(args),
+        latency_dist=latency,
+        latency_seed=args.seed if latency else 0,
+    )
+
+
+def _simulator(args, name: str, jsonl_path: Optional[str] = None):
+    """The engine the flags describe.  With ``--resume`` it is restored
+    from the checkpoint, whose snapshot carries the graph, scheduler,
+    workload (with its arrival cursor) and config; otherwise it is built
+    from the topology, scheduler ``name``, workload and config flags."""
+    if getattr(args, "resume", None):
+        return Simulator.restore(args.resume)
+    if not args.topology:
+        raise SystemExit("--topology is required (unless resuming with --resume)")
+    graph = parse_topology(args.topology)
+    scheduler, speed = make_scheduler(name, graph)
+    workload = make_workload(args, graph)
+    config = make_config(
+        args, speed, probe=make_probe(args, jsonl_path), faults=make_faults(args, graph)
+    )
+    return Simulator(graph, scheduler, workload, config=config)
+
+
+def _run_closed(args, name: str, jsonl_path: Optional[str] = None):
+    """Run one closed workload to quiescence: certified and analysed
+    (:func:`~repro.analysis.run_simulator`).  Returns ``(sim, result)``."""
+    sim = _simulator(args, name, jsonl_path)
+    res = run_simulator(sim)
+    durability.close_probes(sim.config.probe)
+    return sim, res
+
+
+def cmd_run(args) -> int:
+    """``repro run``: one scheduler on a closed workload.  With
+    ``--resume`` a killed run continues from its checkpoint, keeps
+    checkpointing to the path it was started with, and produces the
+    trace — and report — the uninterrupted run would have."""
+    sim, res = _run_closed(args, args.scheduler)
+    graph = sim.graph
+    name = type(sim.scheduler).__name__ if args.resume else args.scheduler
+    out = _result_dict(name, res)
+    out["topology"] = graph.name
+    out["deadline_misses"] = len(res.trace.violations)
+    if res.trace.faults or res.trace.reschedules:
+        out["faults"] = res.trace.fault_counts()
+        out["reschedules"] = len(res.trace.reschedules)
+        out["backoff_max"] = res.trace.max_backoff()
+    if res.obs is not None:
+        out["obs"] = res.obs
+    if args.obs_jsonl:
+        out["obs_jsonl"] = args.obs_jsonl
+    if args.trace:
+        save_trace(res.trace, args.trace)
+        out["trace_file"] = args.trace
+    title = f"{'resumed ' if args.resume else ''}{graph.name} / {name}"
+    if args.report:
+        from repro.analysis.report import run_report
+
+        with open(args.report, "w") as fh:
+            fh.write(run_report(graph, res, title=title))
+        out["report_file"] = args.report
+    if args.json:
+        print(json.dumps(out, indent=2))
+    else:
+        obs = out.pop("obs", None)
+        rows = [[k, v] for k, v in out.items()]
+        if obs:
+            rows.extend([[f"obs.{k}", v] for k, v in obs.items()])
+        print(render_table(["metric", "value"], rows, title=title))
+    return 0
 
 
 def _slo_rows(slo: dict) -> list:
@@ -447,79 +403,33 @@ def _slo_rows(slo: dict) -> list:
 
 
 def cmd_stream(args) -> int:
-    """Run one scheduler against an open workload; print the SLO fold."""
-    from repro.analysis import run_stream
+    """``repro stream`` / ``repro serve``: one scheduler against an open
+    workload up to ``--until``; print the SLO fold.  With ``--resume`` a
+    killed run continues from its checkpoint (pass the original
+    ``--until`` for a byte-identical trace)."""
+    from repro.analysis.frontier import rate_knob
+    from repro.analysis.slo import slo_summary
 
     warmup = args.warmup if args.warmup is not None else args.until // 4
-    if getattr(args, "resume", None):
-        # Continue a killed stream run: the snapshot carries the graph,
-        # scheduler, arrival stream cursor, and checkpoint settings; only
-        # the horizon/warmup are re-supplied (pass the same --until as
-        # the original run for a byte-identical trace).
-        from repro.analysis.slo import slo_summary
-
-        sim = _resume_sim(args.resume)
-        trace = sim.run(until=args.until, warmup=warmup)
-        _close_probe(sim.config.probe)
-        out = {
-            "topology": sim.graph.name,
-            "scheduler": type(sim.scheduler).__name__,
-            "resumed_from": args.resume,
-            **slo_summary(trace, warmup=warmup).to_dict(),
-        }
-        spec = getattr(sim.workload, "spec", None)
-        if spec is not None:
-            out["workload"] = spec.to_dict()
-        if args.json:
-            print(json.dumps(out, indent=2))
-        else:
-            print(render_table(
-                ["metric", "value"], _slo_rows(out),
-                title=f"resumed {out['topology']} / {out['scheduler']}",
-            ))
-        return 0
-    if not args.topology:
-        raise SystemExit("--topology is required (unless resuming with --resume)")
-    graph = parse_topology(args.topology)
-    scheduler, speed = make_scheduler(args.scheduler, graph)
-    spec = make_stream_spec(args)
-    probe = make_probe(args)
-    service = make_service_config(args)
-    latency = getattr(args, "latency_dist", None)
-    faults = None
-    if latency:
-        # Long-tail delivery rides on the recovery machinery; an empty
-        # plan (no injected faults) enables it without adding any.
-        from repro.faults import FaultPlan
-
-        faults = FaultPlan(seed=args.seed)
-    cfg = SimConfig(
-        object_speed_den=max(speed, args.object_speed), probe=probe,
-        service=service, latency_dist=latency,
-        latency_seed=args.seed if latency else 0, faults=faults,
-        checkpoint_path=getattr(args, "checkpoint", None),
-        checkpoint_every=(
-            getattr(args, "checkpoint_every", None)
-            if getattr(args, "checkpoint", None) else None
-        ),
-    )
-    res = run_stream(
-        graph, scheduler, spec, until=args.until, warmup=warmup, config=cfg
-    )
-    _close_probe(probe)
-    out = {
-        "topology": graph.name,
-        "scheduler": args.scheduler,
-        "workload": spec.to_dict(),
-        **res.slo.to_dict(),
-    }
+    sim = _simulator(args, args.scheduler)
+    trace = sim.run(until=args.until, warmup=warmup)
+    summarize_probe = getattr(sim.config.probe, "summary", None)
+    obs = summarize_probe() if summarize_probe is not None else None
+    durability.close_probes(sim.config.probe)
+    name = type(sim.scheduler).__name__ if args.resume else args.scheduler
+    spec = getattr(sim.workload, "spec", None)
+    service = sim.config.service
+    out = {"topology": sim.graph.name, "scheduler": name}
+    title = f"{'resumed ' if args.resume else ''}{sim.graph.name} / {name}"
+    if spec is not None:
+        out["workload"] = spec.to_dict()
+        title += f" @ λ={spec.knob(rate_knob(spec.kind))} ({spec.kind})"
+    out.update(slo_summary(trace).to_dict())
     if service is not None:
         out["admission"] = service.policy
-    if res.obs is not None:
-        out["obs"] = res.obs
-    title = f"{graph.name} / {args.scheduler} @ λ={args.lam} ({spec.kind})"
-    if service is not None:
         title += f" [{service.policy}]"
+    if obs is not None:
+        out["obs"] = obs
     if args.report:
         with open(args.report, "w") as fh:
             fh.write(f"# Open-system run — {title}\n\n")
@@ -536,15 +446,6 @@ def cmd_stream(args) -> int:
                 ["counter", "value"], [[k, v] for k, v in obs.items()], title="obs"
             ))
     return 0
-
-
-def cmd_serve(args) -> int:
-    """``repro serve``: an open-system run with the ingestion front-end
-    always on — ``stream`` plus admission control, deadlines, and the
-    graceful-degradation controller (:mod:`repro.service`)."""
-    if args.admission is None:
-        args.admission = "fifo"
-    return cmd_stream(args)
 
 
 def cmd_frontier(args) -> int:
@@ -607,19 +508,10 @@ def _compare_one(payload) -> dict:
     ``(args, name, jsonl_path)`` payload so ``--jobs N`` can fan the
     schedulers out over a process pool."""
     args, name, jsonl_path = payload
-    graph = parse_topology(args.topology)
-    scheduler, speed = make_scheduler(name, graph)
-    workload = make_workload(args, graph)
-    probe = make_probe(args, jsonl_path=jsonl_path)
     started = time.perf_counter()
-    res = run_experiment(
-        graph, scheduler, workload,
-        config=make_config(args, speed, probe=probe, faults=make_faults(args, graph)),
-    )
-    seconds = time.perf_counter() - started
-    _close_probe(probe)
+    _, res = _run_closed(args, name, jsonl_path)
     d = _result_dict(name, res)
-    d["seconds"] = round(seconds, 3)
+    d["seconds"] = round(time.perf_counter() - started, 3)
     if res.trace.faults or res.trace.reschedules:
         d["faults"] = res.trace.fault_counts()
         d["reschedules"] = len(res.trace.reschedules)
@@ -669,40 +561,25 @@ def cmd_compare(args) -> int:
 
 
 def _suite_one(payload) -> dict:
-    """One ``suite`` entry as a picklable unit of work for ``--jobs N``."""
-    i, entry = payload
-    ns = argparse.Namespace(
-        topology=entry["topology"],
-        workload=entry.get("workload", "bernoulli"),
-        objects=entry.get("objects", 8),
-        k=entry.get("k", 2),
-        rate=entry.get("rate", 0.05),
-        horizon=entry.get("horizon", 60),
-        rounds=entry.get("rounds", 3),
-        read_fraction=entry.get("read_fraction", 0.0),
-        zipf=entry.get("zipf", 0.0),
-        seed=entry.get("seed", 0),
-        object_speed=entry.get("object_speed", 1),
-    )
-    graph = parse_topology(ns.topology)
-    scheduler, speed = make_scheduler(entry.get("scheduler", "greedy"), graph)
-    res = run_experiment(
-        graph, scheduler, make_workload(ns, graph),
-        config=SimConfig(object_speed_den=max(speed, ns.object_speed)),
-    )
-    d = _result_dict(entry.get("scheduler", "greedy"), res)
-    d["name"] = entry.get("name", f"entry-{i}")
-    d["topology"] = graph.name
+    """One ``suite`` entry — its name and parsed ``run`` flags — as a
+    picklable unit of work for ``--jobs N``."""
+    name, args = payload
+    sim, res = _run_closed(args, args.scheduler)
+    d = _result_dict(args.scheduler, res)
+    d["name"] = name
+    d["topology"] = sim.graph.name
     return d
 
 
 def cmd_suite(args) -> int:
     """Run a JSON-defined list of experiments and print one combined table.
 
-    The suite file is a JSON array of objects, each with the keys the
-    ``run`` command takes (topology, scheduler, workload, objects, k,
-    rate, horizon, rounds, read_fraction, zipf, seed) plus an optional
-    ``name``.  Unknown keys are rejected to catch typos.
+    The suite file is a JSON array of objects, each holding ``run`` flags
+    as keys (topology, scheduler, workload, objects, k, rate, horizon,
+    rounds, read_fraction, zipf, seed, object_speed; ``_`` for ``-``)
+    plus an optional ``name``.  Each entry is parsed by the ``run``
+    parser, so it gets the same defaults and checks as a command line.
+    Unknown keys are rejected to catch typos.
     """
     allowed = {
         "name", "topology", "scheduler", "workload", "objects", "k",
@@ -714,13 +591,23 @@ def cmd_suite(args) -> int:
     if not isinstance(entries, list) or not entries:
         print("suite file must be a non-empty JSON array", file=sys.stderr)
         return 2
+    parser = build_parser()
+    runs = []
     for i, entry in enumerate(entries):
         unknown = set(entry) - allowed
         if unknown:
             print(f"suite entry {i}: unknown keys {sorted(unknown)}", file=sys.stderr)
             return 2
-    results = pmap(_suite_one, list(enumerate(entries)),
-                   jobs=getattr(args, "jobs", 1))
+        argv = ["run"]
+        for key, value in entry.items():
+            if key != "name":
+                argv += [f"--{key.replace('_', '-')}", str(value)]
+        try:
+            runs.append((entry.get("name", f"entry-{i}"), parser.parse_args(argv)))
+        except SystemExit:
+            print(f"suite entry {i}: bad run flags (error above)", file=sys.stderr)
+            return 2
+    results = pmap(_suite_one, runs, jobs=getattr(args, "jobs", 1))
     rows = [[d["name"], d["topology"], d["scheduler"], d["txns"],
              d["makespan"], d["mean_latency"], d["competitive_ratio"]]
             for d in results]
@@ -736,9 +623,10 @@ def cmd_suite(args) -> int:
 
 def cmd_replay(args) -> int:
     """Re-run an archived trace: re-certify, regenerate its workload, and
-    replay the recorded schedule (optionally under congestion knobs)."""
+    replay the recorded schedule (optionally under congestion knobs).
+    The replay records deferrals instead of raising on them: a missed
+    archived time is the measurement."""
     from repro.core import ReplayScheduler
-    from repro.sim.engine import Simulator
     from repro.sim.serialize import load_trace
     from repro.sim.validate import certify_trace
     from repro.workloads import workload_from_trace
@@ -751,18 +639,8 @@ def cmd_replay(args) -> int:
         for i in issues[:10]:
             print(f"  {i}", file=sys.stderr)
         return 1
-    sim = Simulator(
-        graph,
-        ReplayScheduler(trace),
-        workload_from_trace(trace),
-        config=SimConfig(
-            object_speed_den=trace.object_speed_den,
-            transport="hop" if args.hop_motion or args.link_capacity else None,
-            link_capacity=args.link_capacity,
-            node_egress_capacity=args.node_capacity,
-            strict=False,
-        ),
-    )
+    config = make_config(args, trace.object_speed_den).replace(strict=False)
+    sim = Simulator(graph, ReplayScheduler(trace), workload_from_trace(trace), config=config)
     replayed = sim.run()
     out = {
         "archived_makespan": trace.makespan(),
@@ -928,9 +806,7 @@ def cmd_checkpoint(args) -> int:
     snapshot runs.  Prints the schema, progress cursors, and RNG digests
     that identify the exact decision point the run was frozen at.
     """
-    from repro.durability import inspect_checkpoint
-
-    header = inspect_checkpoint(args.path)
+    header = durability.inspect_checkpoint(args.path)
     if args.json:
         print(json.dumps(header, indent=2))
         return 0
@@ -945,23 +821,22 @@ def cmd_checkpoint(args) -> int:
 def cmd_profile(args) -> int:
     """Profile one run under cProfile and print the hottest functions.
 
-    The profiled region is exactly ``run_experiment``: the engine and
-    scheduler, the trace certifier and the competitive-ratio analysis.
-    Graph and workload construction are excluded.  Future hot-path
-    claims should cite this output rather than intuition.
+    The profiled region is exactly :func:`~repro.analysis.run_simulator`:
+    the engine and scheduler, the trace certifier and the
+    competitive-ratio analysis.  Graph, workload and simulator
+    construction are excluded.  Future hot-path claims should cite this
+    output rather than intuition.
     """
     import cProfile
     import io
     import pstats
 
-    graph = parse_topology(args.topology)
-    scheduler, speed = make_scheduler(args.scheduler, graph)
-    workload = make_workload(args, graph)
-    config = make_config(args, speed, faults=make_faults(args, graph))
+    sim = _simulator(args, args.scheduler)
+    graph = sim.graph
     profiler = cProfile.Profile()
     started = time.perf_counter()
     profiler.enable()
-    res = run_experiment(graph, scheduler, workload, config=config)
+    res = run_simulator(sim)
     profiler.disable()
     seconds = time.perf_counter() - started
 
@@ -1008,27 +883,38 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def workload_flags(p, kinds, default):
         p.add_argument("--topology", help="e.g. clique:16, grid:4x4, cluster:3x4:6")
-        p.add_argument("--workload", default="bernoulli",
-                       choices=["batch", "bernoulli", "poisson", "closed-loop", "hotspot", "chain"])
+        p.add_argument("--workload", default=default, choices=kinds)
         p.add_argument("--objects", type=int, default=8)
         p.add_argument("--k", type=int, default=2)
-        p.add_argument("--rate", type=float, default=0.05)
-        p.add_argument("--horizon", type=int, default=60)
-        p.add_argument("--rounds", type=int, default=3)
-        p.add_argument("--read-fraction", type=float, default=0.0)
         p.add_argument("--zipf", type=float, default=0.0, help="Zipf skew s (0 = uniform)")
+        p.add_argument("--read-fraction", type=float, default=0.0)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--object-speed", type=int, default=1)
-        p.add_argument("--transport", choices=["direct", "hop"], default=None,
-                       help="object motion model (default: direct, or hop when "
-                            "--hop-motion/--link-capacity are given)")
         p.add_argument("--json", action="store_true")
+
+    def obs_flags(p):
         p.add_argument("--obs-counters", action="store_true",
                        help="attach a CountersProbe; print/emit its summary")
         p.add_argument("--obs-jsonl", metavar="FILE", default=None,
                        help="stream probe events to FILE as JSONL (repro.obs schema)")
+
+    def capacity_flags(p):
+        p.add_argument("--link-capacity", type=int, default=None,
+                       help="max concurrent traversals per edge (implies hop motion)")
+        p.add_argument("--node-capacity", type=int, default=None,
+                       help="max object departures per node per step")
+
+    def common(p):
+        workload_flags(p, CLOSED_WORKLOAD_KINDS, "bernoulli")
+        p.add_argument("--rate", type=float, default=0.05)
+        p.add_argument("--horizon", type=int, default=60)
+        p.add_argument("--rounds", type=int, default=3)
+        p.add_argument("--transport", choices=["direct", "hop"], default=None,
+                       help="object motion model (default: direct, or hop when "
+                            "--link-capacity is given)")
+        obs_flags(p)
         p.add_argument("--faults", metavar="SPEC", default=None,
                        help="deterministic fault plan, e.g. "
                             "seed=1,drop=0.1,delay=0.05,max-delay=3,crash=2,crash-len=8")
@@ -1037,33 +923,35 @@ def build_parser() -> argparse.ArgumentParser:
                             "(compare/suite/chaos sweep); 0 = cpu count; "
                             "results are identical to --jobs 1")
 
-    p_run = sub.add_parser("run", help="run one scheduler and print metrics")
-    common(p_run)
-    p_run.add_argument("--scheduler", default="greedy", choices=SCHEDULER_NAMES)
-    p_run.add_argument("--lazy", action="store_true", help="lazy object departure")
-    p_run.add_argument("--trace", help="write the execution trace to this JSON file")
-    p_run.add_argument("--report", help="write a markdown run report to this file")
-    p_run.add_argument("--hop-motion", action="store_true", help="edge-by-edge object motion")
-    p_run.add_argument("--link-capacity", type=int, default=None,
-                       help="max concurrent traversals per edge (implies hop motion)")
-    p_run.add_argument("--node-capacity", type=int, default=None,
-                       help="max object departures per node per step")
-    p_run.add_argument("--monitor", action="store_true",
+    def run_flags(p):
+        """The flags of a single run, fresh or resumed (run/stream/serve)."""
+        p.add_argument("--scheduler", default="greedy", choices=SCHEDULER_NAMES)
+        p.add_argument("--report", help="write a markdown run report to this file")
+        p.add_argument("--monitor", action="store_true",
                        help="attach the runtime InvariantMonitor (repro.chaos): "
                             "abort with a structured error on any safety violation")
-    p_run.add_argument("--stall-k", type=int, default=512,
+        p.add_argument("--stall-k", type=int, default=512,
                        help="liveness watchdog: flag a stall after this many "
                             "active steps without a commit (with --monitor)")
-    p_run.add_argument("--checkpoint", metavar="PATH", default=None,
+        p.add_argument("--checkpoint", metavar="PATH", default=None,
                        help="write durability checkpoints here (a {step} "
                             "placeholder keeps every snapshot); SIGTERM/SIGINT "
                             "also write one before exiting")
-    p_run.add_argument("--checkpoint-every", type=int, default=50,
+        p.add_argument("--checkpoint-every", type=int, default=50,
                        help="active steps between periodic checkpoints "
                             "(with --checkpoint; default 50)")
-    p_run.add_argument("--resume", metavar="PATH", default=None,
-                       help="restore a checkpoint and continue the run "
-                            "(other workload/topology flags are ignored)")
+        p.add_argument("--resume", metavar="PATH", default=None,
+                       help="restore a checkpoint and continue the run; the "
+                            "snapshot carries topology, scheduler, workload "
+                            "and config, so their flags are ignored "
+                            "(stream/serve: pass the original --until)")
+
+    p_run = sub.add_parser("run", help="run one scheduler and print metrics")
+    common(p_run)
+    run_flags(p_run)
+    p_run.add_argument("--lazy", action="store_true", help="lazy object departure")
+    p_run.add_argument("--trace", help="write the execution trace to this JSON file")
+    capacity_flags(p_run)
     p_run.set_defaults(func=cmd_run)
 
     p_cmp = sub.add_parser("compare", help="run several schedulers on one workload")
@@ -1072,17 +960,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.set_defaults(func=cmd_compare)
 
     def stream_common(p):
-        p.add_argument("--topology",
-                       help="e.g. clique:16, grid:4x4, cluster:3x4:6")
-        p.add_argument("--workload", default="poisson-open",
-                       choices=OPEN_WORKLOAD_KINDS)
-        p.add_argument("--objects", type=int, default=8)
-        p.add_argument("--k", type=int, default=2)
-        p.add_argument("--zipf", type=float, default=0.0,
-                       help="Zipf skew s (0 = uniform)")
-        p.add_argument("--read-fraction", type=float, default=0.0)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--object-speed", type=int, default=1)
+        workload_flags(p, OPEN_WORKLOAD_KINDS, "poisson-open")
+        p.add_argument("--lam", type=float, default=0.5,
+                       help="arrival rate λ (the open kind's rate knob; "
+                            "frontier bisects it)")
         p.add_argument("--until", type=int, default=600,
                        help="run horizon in steps (open runs never drain)")
         p.add_argument("--warmup", type=int, default=None,
@@ -1096,8 +977,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="cycle length in steps (diurnal-open)")
         p.add_argument("--burst", type=int, default=8,
                        help="burst allowance (adversarial-open)")
-        p.add_argument("--json", action="store_true")
-        p.add_argument("--report", help="write a markdown report to this file")
 
     def service_common(p, *, default_policy=None):
         from repro.service import POLICY_NAMES
@@ -1124,57 +1003,29 @@ def build_parser() -> argparse.ArgumentParser:
                        help="long-tail per-leg network delays: "
                             "lognormal:MU:SIGMA[:CAP] or empirical:V1,V2,...")
 
-    def stream_obs_ckpt(p):
-        p.add_argument("--scheduler", default="greedy", choices=SCHEDULER_NAMES)
-        p.add_argument("--lam", type=float, default=0.5,
-                       help="arrival rate λ (the open kind's rate knob)")
-        p.add_argument("--obs-counters", action="store_true",
-                       help="attach a CountersProbe; print/emit its summary")
-        p.add_argument("--obs-jsonl", metavar="FILE", default=None,
-                       help="stream probe events to FILE as JSONL")
-        p.add_argument("--checkpoint", metavar="PATH", default=None,
-                       help="write durability checkpoints here ({step} "
-                            "placeholder keeps every snapshot)")
-        p.add_argument("--checkpoint-every", type=int, default=50,
-                       help="active steps between periodic checkpoints "
-                            "(with --checkpoint; default 50)")
-        p.add_argument("--resume", metavar="PATH", default=None,
-                       help="restore a checkpoint and continue to --until "
-                            "(pass the original horizon)")
-        p.add_argument("--monitor", action="store_true",
-                       help="attach the InvariantMonitor (safety invariants "
-                            "re-checked every step)")
-        p.add_argument("--stall-k", type=int, default=512,
-                       help="stall-watchdog threshold for --monitor")
-
     p_stream = sub.add_parser(
         "stream", help="open-system run: SLO percentiles + stability verdict"
     )
-    stream_common(p_stream)
-    stream_obs_ckpt(p_stream)
-    service_common(p_stream)
-    p_stream.set_defaults(func=cmd_stream)
-
     p_serve = sub.add_parser(
         "serve",
         help="open-system run with the ingestion front-end on: admission "
              "control, deadlines, graceful degradation (repro.service)",
     )
-    stream_common(p_serve)
-    stream_obs_ckpt(p_serve)
-    service_common(p_serve, default_policy="fifo")
-    p_serve.set_defaults(func=cmd_serve)
+    for p, default_policy in ((p_stream, None), (p_serve, "fifo")):
+        stream_common(p)
+        obs_flags(p)
+        run_flags(p)
+        service_common(p, default_policy=default_policy)
+        p.set_defaults(func=cmd_stream)
 
     p_front = sub.add_parser(
         "frontier",
         help="bisect λ per scheduler into a throughput-vs-λ stability frontier",
     )
     stream_common(p_front)
+    p_front.add_argument("--report", help="write a markdown report to this file")
     p_front.add_argument("--schedulers",
                          help="comma-separated (default greedy,bucket,fifo)")
-    p_front.add_argument("--lam", type=float, default=0.5,
-                         help="placeholder rate; the frontier overwrites it "
-                              "per probe")
     p_front.add_argument("--lam-min", type=float, default=0.05)
     p_front.add_argument("--lam-max", type=float, default=4.0)
     p_front.add_argument("--rounds", type=int, default=6,
@@ -1203,9 +1054,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep = sub.add_parser("replay", help="re-certify and replay an archived trace")
     p_rep.add_argument("--topology", required=True)
     p_rep.add_argument("--trace", required=True, help="trace JSON written by `run --trace`")
-    p_rep.add_argument("--hop-motion", action="store_true")
-    p_rep.add_argument("--link-capacity", type=int, default=None)
-    p_rep.add_argument("--node-capacity", type=int, default=None)
+    capacity_flags(p_rep)
     p_rep.add_argument("--json", action="store_true")
     p_rep.set_defaults(func=cmd_replay)
 

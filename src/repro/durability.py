@@ -39,6 +39,10 @@ so the snapshot bytes are identical to a synchronous write; the parent
 pays only the fork (``benchmarks/bench_checkpoint.py`` guards the
 overhead at < 5%).  Where ``os.fork`` is unavailable the async path
 falls back to the synchronous writer.
+
+Long searches (the chaos sweep, the stability frontier) resume from an
+append-only JSONL log of finished work instead of a snapshot:
+:func:`read_resume_log` reads one back.
 """
 
 from __future__ import annotations
@@ -61,6 +65,7 @@ __all__ = [
     "inspect_checkpoint",
     "resolve_checkpoint_path",
     "close_probes",
+    "read_resume_log",
     "catch_interrupts",
     "restore_handlers",
 ]
@@ -287,8 +292,9 @@ def load_checkpoint(path: str):
 def close_probes(probe) -> None:
     """Flush-and-close every file-owning probe in ``probe`` (fsync path).
 
-    Walks a :class:`~repro.obs.multi.MultiProbe` composite; used by the
-    engine's signal exit so a killed run leaves durable JSONL prefixes.
+    Walks a :class:`~repro.obs.probe.MultiProbe` composite; used by the
+    engine's signal exit so a killed run leaves durable JSONL prefixes,
+    and by the CLI after a run.
     """
     if probe is None:
         return
@@ -296,3 +302,26 @@ def close_probes(probe) -> None:
         close = getattr(p, "close", None)
         if close is not None:
             close()
+
+
+def read_resume_log(path: str) -> List[dict]:
+    """The records of an append-only JSONL resume log, in file order.
+
+    A missing file is an empty log.  A torn line (the writer was killed
+    mid-append) is skipped, so the work it recorded simply runs again.
+    """
+    records = []
+    try:
+        fh = open(path)
+    except FileNotFoundError:
+        return records
+    with fh:
+        for line in fh:
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                records.append(json.loads(line))
+            except ValueError:
+                continue  # torn final line from an interrupted run
+    return records

@@ -189,12 +189,8 @@ class WorkerPool:
 
     # -- mapping -----------------------------------------------------------
 
-    def map(self, specs: Iterable[Any], *, ordered: bool = True) -> List[Any]:
-        """``[fn(s) for s in specs]``, deterministically.
-
-        With ``ordered=False`` results arrive in completion order (still
-        the same multiset); use only for order-insensitive reductions.
-        """
+    def map(self, specs: Iterable[Any]) -> List[Any]:
+        """``[fn(s) for s in specs]``, deterministically."""
         specs = list(specs)
         if not specs:
             return []
@@ -204,21 +200,20 @@ class WorkerPool:
                     self.initializer(*self.initargs)
                 self._warmed = True
             return [self.fn(s) for s in specs]
-        return self._map_parallel(specs, ordered=ordered)
+        return self._map_parallel(specs)
 
     def _chunk_size(self, n: int) -> int:
         if self.chunk is not None:
             return max(1, int(self.chunk))
         return max(1, min(32, math.ceil(n / (4 * self.jobs))))
 
-    def _map_parallel(self, specs: List[Any], *, ordered: bool) -> List[Any]:
+    def _map_parallel(self, specs: List[Any]) -> List[Any]:
         n = len(specs)
         size = self._chunk_size(n)
         chunks = [(i, specs[i:i + size]) for i in range(0, n, size)]
         executor = self._ensure_executor()
 
         slots: List[Any] = [None] * n
-        arrival: List[Any] = []
         failure: Optional[tuple] = None  # lowest-index failure seen so far
         next_chunk = 0
         pending = set()
@@ -245,7 +240,6 @@ class WorkerPool:
                     start, results, fail = fut.result()
                     for offset, value in enumerate(results):
                         slots[start + offset] = value
-                        arrival.append(value)
                     if fail is not None:
                         _note_failure(fail)
         except KeyboardInterrupt:
@@ -262,7 +256,7 @@ class WorkerPool:
 
         if failure is not None:
             self._raise_failure(failure, n)
-        return slots if ordered else arrival
+        return slots
 
     def _raise_failure(self, failure: tuple, n: int) -> None:
         kind = failure[0]
@@ -294,7 +288,6 @@ def pmap(
     specs: Iterable[Any],
     *,
     jobs: int = 1,
-    ordered: bool = True,
     initializer: Optional[Callable[..., None]] = None,
     initargs: Tuple = (),
     chunk: Optional[int] = None,
@@ -302,4 +295,4 @@ def pmap(
     """One-shot deterministic parallel map (see :class:`WorkerPool`)."""
     with WorkerPool(fn, jobs=jobs, initializer=initializer,
                     initargs=initargs, chunk=chunk) as pool:
-        return pool.map(specs, ordered=ordered)
+        return pool.map(specs)

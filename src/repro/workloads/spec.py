@@ -56,6 +56,9 @@ _KIND_KNOBS: Dict[str, Tuple[frozenset, bool]] = {
 #: kinds whose knob set excludes the common object-pool knobs
 _NO_POOL_KINDS = frozenset({"hotspot", "chain"})
 
+#: pool kinds whose generator draws write-only transactions
+_WRITE_ONLY_KINDS = frozenset({"poisson-bulk"})
+
 #: service-mode knobs every *open* kind additionally understands
 #: (:mod:`repro.workloads.streaming`): per-spec deadlines + priorities
 _OPEN_KNOBS = frozenset({"deadline", "deadline_frac", "priority_classes"})
@@ -275,6 +278,8 @@ def allowed_knobs(kind: str) -> frozenset:
     """The knob names ``kind`` accepts (for error messages and docs)."""
     extra, open_system = _KIND_KNOBS[kind]
     allowed = extra if kind in _NO_POOL_KINDS else _COMMON_KNOBS | extra
+    if kind in _WRITE_ONLY_KINDS:
+        allowed = allowed - {"read_fraction"}
     if open_system:
         allowed = allowed | _OPEN_KNOBS
     return allowed

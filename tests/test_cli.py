@@ -238,13 +238,6 @@ class TestCommands:
                 "--transport", "direct", "--link-capacity", "1", "--json",
             ])
 
-    def test_run_rejects_direct_transport_with_hop_motion(self):
-        with pytest.raises(SystemExit, match="hop"):
-            main([
-                "run", "--topology", "line:10", "--workload", "hotspot",
-                "--transport", "direct", "--hop-motion", "--json",
-            ])
-
     def test_compare_accepts_transport(self, capsys):
         rc = main([
             "compare", "--topology", "grid:3x3", "--workload", "batch",
@@ -295,6 +288,61 @@ class TestCommands:
         ])
         assert rc == 0
         assert json.loads(capsys.readouterr().out)["txns"] == 12
+
+    def test_poisson_rejects_read_fraction(self, capsys):
+        """``poisson`` draws write-only transactions: asking for reads is
+        an error naming the knob, not a silently write-only run."""
+        rc = main([
+            "run", "--topology", "clique:8", "--workload", "poisson",
+            "--rate", "0.5", "--horizon", "20", "--read-fraction", "0.5",
+        ])
+        assert rc == 2
+        assert "read_fraction" in capsys.readouterr().err
+
+
+class TestResume:
+    """A resumed run reports exactly as a fresh one does."""
+
+    FLAGS = [
+        "--topology", "grid:3x3", "--workload", "bernoulli", "--objects", "4",
+        "--rate", "0.2", "--horizon", "30", "--seed", "1",
+    ]
+
+    def _json(self, capsys, argv):
+        assert main(argv) == 0
+        return json.loads(capsys.readouterr().out)
+
+    def test_resumed_run_writes_report_and_reports_every_key(self, tmp_path, capsys):
+        ck = str(tmp_path / "ck.bin")
+        fresh = self._json(capsys, [
+            "run", *self.FLAGS, "--checkpoint", ck, "--checkpoint-every", "5",
+            "--report", str(tmp_path / "fresh.md"), "--json",
+        ])
+        report = tmp_path / "resumed.md"
+        resumed = self._json(capsys, [
+            "run", "--resume", ck, "--report", str(report), "--json",
+        ])
+        assert report.read_text().startswith("# resumed grid(3x3)")
+        assert "## Metrics" in report.read_text()
+        assert sorted(resumed) == sorted(fresh)
+        for key in ("txns", "makespan", "p99_latency", "competitive_ratio", "messages"):
+            assert resumed[key] == fresh[key], key
+
+    def test_resumed_stream_writes_report(self, tmp_path, capsys):
+        ck = str(tmp_path / "ck.bin")
+        flags = ["--topology", "clique:8", "--lam", "0.6", "--until", "80"]
+        fresh = self._json(capsys, [
+            "serve", *flags, "--checkpoint", ck, "--checkpoint-every", "10",
+            "--report", str(tmp_path / "fresh.md"), "--json",
+        ])
+        report = tmp_path / "resumed.md"
+        resumed = self._json(capsys, [
+            "serve", "--resume", ck, "--until", "80", "--report", str(report), "--json",
+        ])
+        assert report.read_text().startswith("# Open-system run — resumed clique")
+        assert sorted(resumed) == sorted(fresh)
+        for key in ("committed", "p99", "goodput", "workload", "admission"):
+            assert resumed[key] == fresh[key], key
 
 
 class TestTopoInfo:

@@ -127,11 +127,6 @@ class TestPmapContract:
     def test_empty_specs(self):
         assert pmap(_square, [], jobs=4) == []
 
-    def test_unordered_is_same_multiset(self):
-        specs = list(range(20))
-        out = pmap(_square, specs, jobs=4, ordered=False, chunk=2)
-        assert sorted(out) == [s * s for s in specs]
-
     def test_resolve_jobs(self):
         assert resolve_jobs(None) == 1
         assert resolve_jobs(1) == 1

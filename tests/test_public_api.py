@@ -69,7 +69,7 @@ DOCUMENTED_API = {
     ],
     "repro.sim.serialize": ["save_trace", "load_trace", "trace_to_dict"],
     "repro.analysis": [
-        "run_experiment", "RunResult", "summarize", "RunMetrics",
+        "run_experiment", "run_simulator", "RunResult", "summarize", "RunMetrics",
         "competitive_ratio", "makespan_ratio",
         "batch_lower_bound", "object_mst_bound", "object_load_bound",
         "replicate", "Aggregate", "render_table", "run_grid",

@@ -5,9 +5,9 @@ Pillars:
 * **Byte-identity** — ``DirectTransport`` (explicitly selected) matches
   the default-config goldens; the hop-motion and link-capacity goldens
   pin the congestion transports against the pre-refactor engine.
-* **Legacy mapping** — the CLI's ``--hop-motion`` flag (mapped by
-  ``cli.make_config``), ``transport="hop"`` and a bare ``HopTransport()``
-  instance are the same simulator.
+* **CLI mapping** — ``cli.make_config`` turns ``--transport hop`` and a
+  bare ``--link-capacity`` into the same simulator as
+  ``transport="hop"``, which equals a bare ``HopTransport()`` instance.
 * **Composition** — capacity knobs wrap the selected base transport in
   decorators, validated against bad combinations.
 """
@@ -108,9 +108,17 @@ def test_link_capacity_byte_identical_to_golden():
     assert _dumps(trace) == _golden("golden_linkcap_line12.json")
 
 
-def test_legacy_hop_motion_equals_transport_string():
-    a, _ = _hop_sim(_cli_config(hop_motion=True))
+def test_cli_transport_flag_equals_transport_string():
+    a, _ = _hop_sim(_cli_config(transport="hop"))
     b, _ = _hop_sim(SimConfig(transport="hop"))
+    assert _dumps(a.run()) == _dumps(b.run())
+
+
+def test_bare_link_capacity_implies_hop():
+    cfg = _cli_config(link_capacity=2)
+    assert cfg.transport_kind == "hop" and not cfg.strict
+    a, _ = _hop_sim(cfg)
+    b, _ = _hop_sim(SimConfig(transport="hop", link_capacity=2, strict=False))
     assert _dumps(a.run()) == _dumps(b.run())
 
 
@@ -132,8 +140,8 @@ class TestBuildAndCompose:
         t = build_transport(SimConfig())
         assert isinstance(t, DirectTransport) and t.kind == "direct"
 
-    def test_legacy_flag_selects_hop(self):
-        t = build_transport(_cli_config(hop_motion=True))
+    def test_cli_flag_selects_hop(self):
+        t = build_transport(_cli_config(transport="hop"))
         assert isinstance(t, HopTransport) and t.kind == "hop"
 
     def test_capacity_decorators_wrap_outermost_egress(self):
@@ -188,15 +196,12 @@ class TestValidation:
             SimConfig(transport="direct", link_capacity=1)
 
     def test_direct_conflicts_with_hop_motion(self):
-        with pytest.raises(SystemExit, match="conflicts with --hop-motion"):
-            _cli_config(transport="direct", hop_motion=True)
+        """A link capacity needs hop motion; --transport direct refuses it."""
+        with pytest.raises(SystemExit, match="requires a hop transport"):
+            _cli_config(transport="direct", link_capacity=1)
 
     def test_capacities_must_be_positive(self):
         with pytest.raises(WorkloadError):
             SimConfig(node_egress_capacity=0)
         with pytest.raises(WorkloadError):
             SimConfig(transport="hop", link_capacity=0)
-
-    def test_hop_string_with_legacy_flag_is_consistent(self):
-        cfg = _cli_config(transport="hop", hop_motion=True)
-        assert cfg.transport_kind == "hop"
