@@ -15,13 +15,20 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from repro._types import ObjectId, Time
-from repro.sim.trace import ExecutionTrace
+from repro.sim.trace import ExecutionTrace, ObjectTimeline
 
 
 def _scale(t: Time, t_max: Time, width: int) -> int:
     if t_max <= 0:
         return 0
     return min(width - 1, (t * (width - 1)) // t_max)
+
+
+def _label(lane: List[str], node, at: int) -> None:
+    """Write a resting node id from column ``at`` onto the free cells."""
+    for i, ch in enumerate(str(node), at):
+        if i < len(lane) and lane[i] == "-":
+            lane[i] = ch
 
 
 def object_lanes(
@@ -33,29 +40,25 @@ def object_lanes(
     """One line of text per object."""
     t_max = max(trace.makespan(), trace.end_time, 1)
     oids = sorted(objects if objects is not None else trace.initial_placement)
+    timelines = trace.object_timelines()
+    consumed: Dict[ObjectId, List[Time]] = {}
+    for rec in trace.txns.values():
+        for oid in rec.objects + rec.reads:
+            consumed.setdefault(oid, []).append(rec.exec_time)
     lines = []
     for oid in oids:
         lane = ["-"] * width
-        pos = trace.initial_placement.get(oid)
-        t = 0
-        for leg in sorted(trace.legs_of(oid), key=lambda l: l.depart_time):
+        timeline = timelines.get(oid) or ObjectTimeline(None, ())
+        pos, t = timeline.start, 0
+        for leg in timeline.legs:
+            _label(lane, pos, _scale(t, t_max, width))
             a, b = _scale(leg.depart_time, t_max, width), _scale(leg.arrive_time, t_max, width)
-            label = str(pos)
-            at = _scale(t, t_max, width)
-            for i, ch in enumerate(label):
-                if at + i < width and lane[at + i] == "-":
-                    lane[at + i] = ch
             for i in range(a, b + 1):
                 lane[i] = ">"
             pos, t = leg.dst, leg.arrive_time
-        label = str(pos)
-        at = _scale(t, t_max, width)
-        for i, ch in enumerate(label):
-            if at + i < width and lane[at + i] == "-":
-                lane[at + i] = ch
-        for rec in trace.txns.values():
-            if oid in rec.objects or oid in rec.reads:
-                lane[_scale(rec.exec_time, t_max, width)] = "*"
+        _label(lane, pos, _scale(t, t_max, width))
+        for step in consumed.get(oid, ()):
+            lane[_scale(step, t_max, width)] = "*"
         lines.append(f"o{oid:<3}|{''.join(lane)}|")
     return lines
 

@@ -6,20 +6,20 @@ with ``t*`` replaced by the certified lower bound of
 :func:`repro.analysis.lower_bounds.live_set_lower_bound` — so every
 reported ratio is an *upper* bound on the true competitive ratio.
 
-Object positions at time ``t`` are replayed from the trace legs: the
-object is at a leg's source until it departs and at its destination from
-arrival; while mid-leg we charge its destination (the same artificial-node
+Object positions at time ``t`` come from
+:meth:`~repro.sim.trace.ExecutionTrace.object_timelines`: the object is at
+a leg's source until it departs and at its destination from arrival;
+while mid-leg we charge its destination (the same artificial-node
 convention the schedulers use, which can only *lower* the bound — again
 the conservative direction).
 """
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from repro._types import NodeId, ObjectId, Time
+from repro._types import Time
 from repro.analysis.lower_bounds import batch_lower_bound, live_set_lower_bound
 from repro.network.graph import Graph
 from repro.sim.trace import ExecutionTrace
@@ -40,23 +40,6 @@ class RatioPoint:
         return self.worst_duration / max(1, self.lower_bound)
 
 
-class _ObjectTimeline:
-    """Object position as a step function of time, from trace legs."""
-
-    def __init__(self, start: NodeId, legs) -> None:
-        self._times: List[Time] = []
-        self._nodes: List[NodeId] = [start]
-        for leg in sorted(legs, key=lambda l: l.depart_time):
-            # After departing at depart_time the object is charged to its
-            # destination (artificial-node convention).
-            self._times.append(leg.depart_time)
-            self._nodes.append(leg.dst)
-
-    def position(self, t: Time) -> NodeId:
-        i = bisect.bisect_right(self._times, t)
-        return self._nodes[i]
-
-
 def competitive_ratio(
     graph: Graph,
     trace: ExecutionTrace,
@@ -70,13 +53,7 @@ def competitive_ratio(
     records = list(trace.txns.values())
     if not records:
         return 0.0, []
-    legs_by_obj: Dict[ObjectId, list] = {oid: [] for oid in trace.initial_placement}
-    for leg in trace.legs:
-        legs_by_obj.setdefault(leg.oid, []).append(leg)
-    timelines = {
-        oid: _ObjectTimeline(start, legs_by_obj.get(oid, []))
-        for oid, start in trace.initial_placement.items()
-    }
+    timelines = trace.object_timelines()
     if sample_times is None:
         sample_times = sorted({r.gen_time for r in records})
     points: List[RatioPoint] = []
@@ -84,7 +61,7 @@ def competitive_ratio(
         live = [r for r in records if r.gen_time <= t < r.exec_time or (r.gen_time == t == r.exec_time)]
         if not live:
             continue
-        positions = {oid: tl.position(t) for oid, tl in timelines.items()}
+        positions = {oid: tl.charged_position(t) for oid, tl in timelines.items()}
         live_txns = [
             Transaction(r.tid, r.home, frozenset(r.objects), r.gen_time, reads=frozenset(r.reads))
             for r in live

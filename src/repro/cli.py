@@ -537,7 +537,7 @@ def cmd_compare(args) -> int:
             root, dot, ext = args.obs_jsonl.rpartition(".")
             jsonl_path = f"{root}.{name}{dot}{ext}" if dot else f"{args.obs_jsonl}.{name}"
         payloads.append((args, name, jsonl_path))
-    results = pmap(_compare_one, payloads, jobs=getattr(args, "jobs", 1))
+    results = pmap(_compare_one, payloads, jobs=args.jobs)
     rows = [
         [d["scheduler"], d["txns"], d["makespan"], d["mean_latency"],
          d["p99_latency"], d["competitive_ratio"], d["messages"], d["seconds"]]
@@ -607,7 +607,7 @@ def cmd_suite(args) -> int:
         except SystemExit:
             print(f"suite entry {i}: bad run flags (error above)", file=sys.stderr)
             return 2
-    results = pmap(_suite_one, runs, jobs=getattr(args, "jobs", 1))
+    results = pmap(_suite_one, runs, jobs=args.jobs)
     rows = [[d["name"], d["topology"], d["scheduler"], d["txns"],
              d["makespan"], d["mean_latency"], d["competitive_ratio"]]
             for d in results]
@@ -918,10 +918,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--faults", metavar="SPEC", default=None,
                        help="deterministic fault plan, e.g. "
                             "seed=1,drop=0.1,delay=0.05,max-delay=3,crash=2,crash-len=8")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="worker processes for fan-out commands "
-                            "(compare/suite/chaos sweep); 0 = cpu count; "
-                            "results are identical to --jobs 1")
 
     def run_flags(p):
         """The flags of a single run, fresh or resumed (run/stream/serve)."""
@@ -957,6 +953,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp = sub.add_parser("compare", help="run several schedulers on one workload")
     common(p_cmp)
     p_cmp.add_argument("--schedulers", help="comma-separated (default greedy,bucket,fifo,tsp)")
+    p_cmp.add_argument("--jobs", type=int, default=1,
+                       help="worker processes, one scheduler each (0 = cpu "
+                            "count); results are identical to --jobs 1")
     p_cmp.set_defaults(func=cmd_compare)
 
     def stream_common(p):

@@ -8,8 +8,10 @@ scheduler bug cannot silently produce an impossible "good" schedule.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import field
-from typing import Dict, List, Mapping, Optional, Tuple
+from itertools import accumulate
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro._compat import slotted_dataclass
 from repro._types import NodeId, ObjectId, Time, TxnId
@@ -60,10 +62,6 @@ class TxnRecord:
     def latency(self) -> Time:
         """The paper's execution duration ``t_T - t``."""
         return self.exec_time - self.gen_time
-
-    @property
-    def all_objects(self) -> Tuple[ObjectId, ...]:
-        return tuple(sorted(set(self.objects) | set(self.reads)))
 
 
 @slotted_dataclass(frozen=True)
@@ -237,6 +235,58 @@ class PartitionRecord:
         return f"partition([{self.start}, {self.end}), cut {{{edges}}})"
 
 
+class ObjectTimeline:
+    """Where one object was at each step, from its trace legs.
+
+    ``legs`` holds the object's legs in departure order.  Between legs the
+    object rests: rest interval ``i`` starts at the arrival of leg
+    ``i - 1`` (step 0 for the first) at that leg's destination (``start``
+    for the first) and ends at the departure of leg ``i``; the last one
+    never ends.  Both queries bisect the departure times.
+    """
+
+    __slots__ = ("start", "legs", "_departs", "_rests", "_earliest")
+
+    def __init__(self, start: Optional[NodeId], legs: Iterable[ObjectLeg]) -> None:
+        self.legs: List[ObjectLeg] = sorted(legs, key=lambda leg: leg.depart_time)
+        if start is None and self.legs:
+            start = self.legs[0].src  # created mid-run: it starts where it first left
+        self.start = start
+        self._departs = [leg.depart_time for leg in self.legs]
+        #: ``(from, node)`` of each rest interval
+        self._rests = [(0, start)] + [(leg.arrive_time, leg.dst) for leg in self.legs]
+        #: earliest start of rest intervals ``i`` onwards; equal to
+        #: ``_rests[i][0]`` unless the legs overlap
+        self._earliest = list(accumulate(reversed([since for since, _ in self._rests]), min))[::-1]
+
+    def at_rest(self, t: Time, node: NodeId) -> bool:
+        """Was the object resting at ``node`` at step ``t``?
+
+        The certifier's convention: both ends of a rest interval count, so
+        the object is still at a leg's source at its departure step (the
+        model forwards *after* executing) and at its destination from the
+        arrival step.
+        """
+        # Rest intervals before i ended before t; the walk stops once no
+        # later interval can have begun by t (one step on contiguous legs).
+        i = bisect_left(self._departs, t)
+        while i < len(self._rests) and self._earliest[i] <= t:
+            since, at = self._rests[i]
+            if since <= t and at == node:
+                return True
+            i += 1
+        return False
+
+    def charged_position(self, t: Time) -> Optional[NodeId]:
+        """The node the object is charged to at step ``t``.
+
+        The ratio's artificial-node convention: from its departure step
+        the object counts as already at the leg's destination.
+        """
+        i = bisect_right(self._departs, t)
+        return self.start if i == 0 else self.legs[i - 1].dst
+
+
 @slotted_dataclass()
 class ExecutionTrace:
     """Everything that happened in one simulation run."""
@@ -292,8 +342,18 @@ class ExecutionTrace:
         """Communication cost of read copies (read/write extension)."""
         return sum(l.arrive_time - l.depart_time for l in self.copy_legs)
 
-    def legs_of(self, oid: ObjectId) -> List[ObjectLeg]:
-        return [l for l in self.legs if l.oid == oid]
+    def object_timelines(self) -> Dict[ObjectId, ObjectTimeline]:
+        """Every object's :class:`ObjectTimeline`, from one pass over
+        :attr:`legs`: placed objects in placement order, then objects
+        first seen in a leg.  Built afresh on each call, because traces
+        are mutable."""
+        legs: Dict[ObjectId, List[ObjectLeg]] = {oid: [] for oid in self.initial_placement}
+        for leg in self.legs:
+            legs.setdefault(leg.oid, []).append(leg)
+        return {
+            oid: ObjectTimeline(self.initial_placement.get(oid), obj_legs)
+            for oid, obj_legs in legs.items()
+        }
 
     def fault_counts(self) -> Dict[str, int]:
         """Count of injected faults by kind (empty for fault-free runs)."""

@@ -8,8 +8,9 @@ physically possible under the paper's model:
 2. legs of each object are contiguous in space and non-overlapping in time;
 3. every transaction had *all* of its objects at its home node at its
    execution step;
-4. per object, transactions acquired it in non-decreasing execution-time
-   order, and never before the previous acquirer committed;
+4. per object, consecutive acquirers in execution order (ties broken by
+   transaction id) at different homes are at least the object's travel
+   time apart;
 5. (optional) at most one live transaction per node at any time.
 
 This is the library's correctness oracle: tests and every benchmark run it,
@@ -44,7 +45,7 @@ run — including legs that predate the joins.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro._types import NodeId, ObjectId, Time, TxnId
 from repro.errors import InfeasibleScheduleError
@@ -61,35 +62,6 @@ class CertificationIssue:
 
     def __str__(self) -> str:
         return f"[{self.kind}] {self.detail}"
-
-
-def _object_position_intervals(
-    start: NodeId, legs
-) -> List[Tuple[Time, Optional[Time], NodeId]]:
-    """Rest intervals ``(from_t, until_t_exclusive_or_None, node)``."""
-    intervals: List[Tuple[Time, Optional[Time], NodeId]] = []
-    pos = start
-    t: Time = 0
-    for leg in legs:
-        intervals.append((t, leg.depart_time, pos))
-        pos = leg.dst
-        t = leg.arrive_time
-    intervals.append((t, None, pos))
-    return intervals
-
-
-def _at_node(intervals, t: Time, node: NodeId) -> bool:
-    """Was the object at rest at ``node`` at time ``t``?
-
-    An object departing at time ``t`` was still available at its source at
-    ``t`` (the model forwards *after* executing), so interval ends are
-    inclusive.
-    """
-    for lo, hi, pos in intervals:
-        if lo <= t and (hi is None or t <= hi):
-            if pos == node:
-                return True
-    return False
 
 
 def certify_trace(
@@ -151,26 +123,13 @@ def certify_trace(
         if f.kind in ("delay", "crash-delay", "reroute", "net-delay") and f.oid is not None:
             fault_slack[f.oid] = fault_slack.get(f.oid, 0) + f.extra
 
-    legs_by_obj: Dict[ObjectId, list] = {oid: [] for oid in trace.initial_placement}
-    for leg in trace.legs:
-        legs_by_obj.setdefault(leg.oid, []).append(leg)
+    timelines = trace.object_timelines()
 
     # 1 & 2: leg physics and contiguity.
-    positions: Dict[ObjectId, List[Tuple[Time, Optional[Time], NodeId]]] = {}
-    for oid, legs in legs_by_obj.items():
-        legs.sort(key=lambda l: l.depart_time)
-        start = trace.initial_placement.get(oid)
-        if start is None:
-            # Object created mid-run by a transaction; its creation node is
-            # the creator's home — find it from the first leg or records.
-            if legs:
-                start = legs[0].src
-            else:
-                creators = [r for r in trace.txns.values()]
-                start = creators[0].home if creators else 0
-        pos, t = start, 0
+    for oid, timeline in timelines.items():
+        pos, t = timeline.start, 0
         slack_used: Time = 0
-        for leg in legs:
+        for leg in timeline.legs:
             expected = speed * graph.distance(leg.src, leg.dst)
             actual = leg.arrive_time - leg.depart_time
             if has_faults:
@@ -218,20 +177,19 @@ def certify_trace(
                     f"fault records account for {fault_slack.get(oid, 0)}",
                 )
             )
-        positions[oid] = _object_position_intervals(start, legs)
 
     # 3: object presence at execution.
     for rec in trace.txns.values():
         for oid in rec.objects:
-            ivals = positions.get(oid)
-            if ivals is None:
+            timeline = timelines.get(oid)
+            if timeline is None:
                 issues.append(
                     CertificationIssue(
                         "unknown-object", f"txn {rec.tid} uses untracked object {oid}"
                     )
                 )
                 continue
-            if not _at_node(ivals, rec.exec_time, rec.home):
+            if not timeline.at_rest(rec.exec_time, rec.home):
                 issues.append(
                     CertificationIssue(
                         "absent-object",
@@ -240,22 +198,16 @@ def certify_trace(
                     )
                 )
 
-    # 4: per-object serialization order.
-    for oid, ivals in positions.items():
-        users = sorted(
-            (r for r in trace.txns.values() if oid in r.objects),
-            key=lambda r: (r.exec_time, r.tid),
-        )
+    # 4: per-object serialization.
+    writers_by_obj: Dict[ObjectId, list] = {}
+    for rec in trace.executions_in_order():
+        for oid in rec.objects:
+            writers_by_obj.setdefault(oid, []).append(rec)
+    for oid in timelines:
         prev = None
-        for rec in users:
+        for rec in writers_by_obj.get(oid, ()):
             if prev is not None:
                 gap = speed * graph.distance(prev.home, rec.home)
-                if rec.exec_time < prev.exec_time:
-                    issues.append(
-                        CertificationIssue(
-                            "order", f"object {oid}: {rec.tid} before {prev.tid}"
-                        )
-                    )
                 if rec.home != prev.home and rec.exec_time - prev.exec_time < gap:
                     issues.append(
                         CertificationIssue(
@@ -271,10 +223,6 @@ def certify_trace(
     copy_by_reader: Dict[Tuple[ObjectId, TxnId], list] = {}
     for cl in trace.copy_legs:
         copy_by_reader.setdefault((cl.oid, cl.reader_tid), []).append(cl)
-    writers_by_obj: Dict[ObjectId, list] = {}
-    for rec in trace.txns.values():
-        for oid in rec.objects:
-            writers_by_obj.setdefault(oid, []).append(rec)
     for cl in trace.copy_legs:
         expected = speed * graph.distance(cl.src, cl.dst)
         if cl.arrive_time - cl.depart_time != expected:
@@ -285,8 +233,8 @@ def certify_trace(
                     f"{cl.arrive_time - cl.depart_time}, expected {expected}",
                 )
             )
-        ivals = positions.get(cl.oid)
-        if ivals is not None and not _at_node(ivals, cl.depart_time, cl.src):
+        timeline = timelines.get(cl.oid)
+        if timeline is not None and not timeline.at_rest(cl.depart_time, cl.src):
             issues.append(
                 CertificationIssue(
                     "copy-origin",

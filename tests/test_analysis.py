@@ -126,5 +126,5 @@ class TestTraceHelpers:
         tr = res.trace
         assert tr.makespan() == tr.txns[0].exec_time
         assert tr.total_object_travel() == 4
-        assert len(tr.legs_of(0)) == 1
+        assert len(tr.object_timelines()[0].legs) == 1
         assert tr.executions_in_order()[0].tid == 0

@@ -299,6 +299,15 @@ class TestCommands:
         assert rc == 2
         assert "read_fraction" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run", "profile"])
+    def test_single_run_commands_reject_jobs(self, command, capsys):
+        """``run`` and ``profile`` have no fan-out, so ``--jobs`` is an
+        unknown flag there rather than one silently ignored."""
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--topology", "clique:4", "--horizon", "5", "--jobs", "2"])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+
 
 class TestResume:
     """A resumed run reports exactly as a fresh one does."""
